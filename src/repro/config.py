@@ -32,6 +32,25 @@ from .errors import ConfigError
 MIB = 1024 * 1024
 
 
+def _env_count(name: str) -> int:
+    """Positive integer from environment variable ``name``; 1 when unset.
+
+    A malformed or non-positive value raises :class:`ConfigError`
+    rather than falling back, so a mistyped CI matrix leg fails loudly
+    instead of silently testing the default.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # reported below, like any non-positive value
+    if value < 1:
+        raise ConfigError(f"{name}={raw!r}: expected a positive integer")
+    return value
+
+
 def _default_num_workers() -> int:
     """Default worker count for the parallel interval executor.
 
@@ -40,10 +59,7 @@ def _default_num_workers() -> int:
     are bit-identical at any worker count (DESIGN.md §11), so this is a
     coverage knob, not a tuning knob.
     """
-    try:
-        return max(1, int(os.environ.get("REPRO_NUM_WORKERS", "1")))
-    except ValueError:
-        return 1
+    return _env_count("REPRO_NUM_WORKERS")
 
 
 #: Valid values for :attr:`SimConfig.io_plan`, in increasing ambition.
@@ -65,10 +81,7 @@ def _default_num_devices() -> int:
     count (DESIGN.md §14), so like ``REPRO_NUM_WORKERS`` this is a
     coverage knob, not a tuning knob.
     """
-    try:
-        return max(1, int(os.environ.get("REPRO_DEVICES", "1")))
-    except ValueError:
-        return 1
+    return _env_count("REPRO_DEVICES")
 
 
 def _default_io_plan() -> str:
@@ -77,10 +90,13 @@ def _default_io_plan() -> str:
     Reads ``REPRO_IO_PLAN`` so the CI matrix can run the whole test
     suite with the planner engaged without touching any call site;
     values and records are bit-identical in every mode (DESIGN.md §13),
-    so like ``REPRO_NUM_WORKERS`` this is a coverage knob.
+    so like ``REPRO_NUM_WORKERS`` this is a coverage knob.  A value
+    outside :data:`IO_PLAN_MODES` raises :class:`ConfigError`.
     """
     mode = os.environ.get("REPRO_IO_PLAN", "off")
-    return mode if mode in IO_PLAN_MODES else "off"
+    if mode not in IO_PLAN_MODES:
+        raise ConfigError(f"REPRO_IO_PLAN={mode!r}: expected one of {IO_PLAN_MODES}")
+    return mode
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from ..ssd.file import PageFile
 from ..ssd.filesystem import SimFS
 from .active import ActiveTracker
-from .update import UPDATE_DTYPES, UPDATE_FIELDS, UpdateBatch
+from .update import UPDATE_DTYPES, UPDATE_FIELDS, UpdateBatch, stable_order
 
 KLASS_MLOG = "mlog"
 
@@ -204,24 +204,24 @@ class MultiLogUnit:
         rpp = self.config.updates_per_page
         chunk = max(rpp, self._high_free * rpp)
         ivals = self._v2i[dests]
-        # One stable argsort buckets the batch by interval while keeping
+        # One stable sort buckets the batch by interval while keeping
         # each interval's records in arrival order (same per-interval
         # subsequences as record-at-a-time sends).
-        order = np.argsort(ivals, kind="stable")
-        ivals_sorted = ivals[order]
-        d_all, s_all, x_all = dests[order], srcs[order], datas[order]
-        uniq, bucket_starts = np.unique(ivals_sorted, return_index=True)
-        bucket_stops = np.append(bucket_starts[1:], ivals_sorted.shape[0])
-        for i, b0, b1 in zip(uniq, bucket_starts, bucket_stops):
-            d, s, x = d_all[b0:b1], s_all[b0:b1], x_all[b0:b1]
+        order = stable_order(ivals)
+        counts = np.bincount(ivals)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        cols = [c[order].astype(t, copy=False) for c, t in zip((dests, srcs, datas), UPDATE_DTYPES)]
+        for i in np.flatnonzero(counts).tolist():
+            b0, b1 = bounds[i], bounds[i + 1]
             buf = self._buffers[i]
-            for pos in range(0, d.shape[0], chunk):
+            for pos in range(b0, b1, chunk):
+                end = min(pos + chunk, b1)
                 before = buf.pages_used
-                buf.append_many(d[pos : pos + chunk], s[pos : pos + chunk], x[pos : pos + chunk])
+                buf.append_many(*(c[pos:end] for c in cols))
                 self._pages_used += buf.pages_used - before
                 if self._capacity - self._pages_used < self._low_free:
                     self._evict()
-            self.counters[i] += int(d.shape[0])
+            self.counters[i] += b1 - b0
         self.appended += int(dests.shape[0])
 
     # -- eviction -----------------------------------------------------------------
@@ -332,7 +332,7 @@ class MultiLogUnit:
         caller attributes the coalesced wave time after the plan
         executes, so per-read durations are not appended here.
         """
-        parts: List[UpdateBatch] = []
+        pages: List[tuple] = []
         for i in interval_ids:
             f = self._files[i]
             if f is not None and f.n_pages:
@@ -343,19 +343,19 @@ class MultiLogUnit:
                     self.io_time_us += t
                 else:
                     ledger.io_times.append(t)
-                for dest, src, data in payloads:
-                    parts.append(UpdateBatch.of(dest, src, data))
+                pages.extend(payloads)
                 f.truncate()
             buf = self._buffers[i]
             if ledger is None:
                 self._pages_used -= buf.pages_used
             else:
                 ledger.pages_delta -= buf.pages_used
-            dest, src, data = buf.drain_all()
-            if dest.shape[0]:
-                parts.append(UpdateBatch.of(dest, src, data))
+            buf.force_seal()
+            pages.extend(buf.pop_sealed())
             self.counters[i] = 0
-        return UpdateBatch.concat(parts)
+        if not pages:
+            return UpdateBatch.empty()
+        return UpdateBatch(*(np.concatenate(col) for col in zip(*pages)))
 
     def apply_consume_ledger(self, ledger: ConsumeLedger) -> None:
         """Apply a worker-thread consume's deferred deltas (commit point).

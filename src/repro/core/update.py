@@ -20,6 +20,25 @@ DATA_DTYPE = np.float64
 UPDATE_FIELDS = ("dest", "src", "data")
 UPDATE_DTYPES = (DEST_DTYPE, SRC_DTYPE, DATA_DTYPE)
 
+#: Integer key spans below this sort as ``uint16`` (NumPy's radix path).
+_RADIX_SPAN = 1 << 16
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation ``np.argsort(keys, kind="stable")``, faster.
+
+    Integer keys wider than 16 bits that span fewer than 2**16 values
+    are shifted to zero and sorted as ``uint16``, for which NumPy's
+    stable sort is a linear-time radix sort (narrower keys get it
+    already).  A stable sort's permutation is unique, so the result is
+    identical to the plain call, which every other key array takes.
+    """
+    if keys.shape[0] > 1 and keys.dtype.kind in "iu" and keys.dtype.itemsize > 2:
+        lo = keys.min()
+        if int(keys.max()) - int(lo) < _RADIX_SPAN:
+            return np.argsort((keys - lo).astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind="stable")
+
 
 @dataclass
 class UpdateBatch:
@@ -65,7 +84,7 @@ class UpdateBatch:
         """Stable sort by destination (the sort-and-group unit's sort)."""
         if self.n <= 1:
             return self
-        order = np.argsort(self.dest, kind="stable")
+        order = stable_order(self.dest)
         return UpdateBatch(self.dest[order], self.src[order], self.data[order])
 
     def group(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -77,9 +96,10 @@ class UpdateBatch:
         """
         if self.n == 0:
             return np.empty(0, DEST_DTYPE), np.zeros(1, np.int64)
-        uniq, starts = np.unique(self.dest, return_index=True)
-        offsets = np.concatenate([starts, [self.n]]).astype(np.int64)
-        return uniq, offsets
+        d = self.dest
+        starts = np.flatnonzero(d[1:] != d[:-1]) + 1
+        offsets = np.concatenate([[0], starts, [self.n]]).astype(np.int64)
+        return d[offsets[:-1]], offsets
 
     def is_sorted(self) -> bool:
         return self.n < 2 or bool(np.all(np.diff(self.dest) >= 0))

@@ -4,8 +4,9 @@ Two staging primitives shared by the logging components:
 
 * :class:`RecordPageBuffer` -- fixed-size records (the multi-log's
   ``<v_dest, m>`` updates, GraFBoost's single-log entries).  Records
-  accumulate in a *top page*; when the top page fills it is *sealed*
-  into immutable NumPy arrays and a fresh top page starts (paper §V-A3
+  accumulate in a preallocated *top page*; when the top page fills it
+  is *sealed* (handed over as per-field column arrays, never written
+  again) and a fresh top page is allocated (paper §V-A3
   "a top page is maintained in the buffer ... a new page is allocated
   and becomes the top page").
 
@@ -29,12 +30,20 @@ from ..errors import BudgetExceededError
 class RecordPageBuffer:
     """Staging buffer for fixed-size records of one log.
 
+    The top page is one preallocated structured record array with a
+    fill cursor, so a record append is a single row assignment and a
+    bulk append is one slice copy per field.  Sealing hands the full
+    array over as the page and allocates a fresh top page; a sealed
+    page is a tuple of per-field column views of that array (the
+    payload format :class:`~repro.ssd.file.PageFile` and checkpoints
+    carry).
+
     Parameters
     ----------
     fields:
         Names of the record columns (e.g. ``("dest", "src", "data")``).
     dtypes:
-        NumPy dtypes per column, used when sealing pages.
+        NumPy dtypes per column.
     records_per_page:
         Capacity of one SSD page in records.
     """
@@ -47,23 +56,29 @@ class RecordPageBuffer:
         self.fields = tuple(fields)
         self.dtypes = tuple(np.dtype(d) for d in dtypes)
         self.records_per_page = int(records_per_page)
-        self._top: List[List[Any]] = [[] for _ in self.fields]
+        self._record = np.dtype(list(zip(self.fields, self.dtypes)))
         self._sealed: List[Tuple[np.ndarray, ...]] = []
+        self._new_top()
 
     # -- appends -----------------------------------------------------------
 
+    def _new_top(self) -> None:
+        self._top = np.empty(self.records_per_page, dtype=self._record)
+        self._cols = tuple(self._top[f] for f in self.fields)
+        self._fill = 0
+
     def _seal_top(self) -> None:
-        page = tuple(
-            np.asarray(col, dtype=dt) for col, dt in zip(self._top, self.dtypes)
-        )
+        n = self._fill
+        page = self._cols if n == self.records_per_page else tuple(c[:n] for c in self._cols)
         self._sealed.append(page)
-        self._top = [[] for _ in self.fields]
+        self._new_top()
 
     def append(self, *values: Any) -> bool:
         """Append one record; returns True if this filled (sealed) a page."""
-        for col, v in zip(self._top, values):
-            col.append(v)
-        if len(self._top[0]) >= self.records_per_page:
+        n = self._fill
+        self._top[n] = values
+        self._fill = n + 1
+        if n + 1 == self.records_per_page:
             self._seal_top()
             return True
         return False
@@ -71,33 +86,19 @@ class RecordPageBuffer:
     def append_many(self, *columns: np.ndarray) -> int:
         """Append a batch of records; returns number of pages sealed."""
         n = len(columns[0])
-        if n == 0:
-            return 0
-        sealed = 0
         rpp = self.records_per_page
+        sealed = 0
         pos = 0
-        # Top-up a partially filled top page first.
-        if self._top[0]:
-            take = min(rpp - len(self._top[0]), n)
-            for col, src in zip(self._top, columns):
-                col.extend(src[:take].tolist())
-            pos = take
-            if len(self._top[0]) >= rpp:
+        while pos < n:
+            fill = self._fill
+            take = min(rpp - fill, n - pos)
+            for col, src in zip(self._cols, columns):
+                col[fill : fill + take] = src[pos : pos + take]
+            pos += take
+            self._fill = fill + take
+            if self._fill == rpp:
                 self._seal_top()
                 sealed += 1
-        # Whole pages seal as direct page-sized array copies, skipping
-        # the per-record list round-trip.
-        while n - pos >= rpp:
-            page = tuple(
-                np.array(src[pos : pos + rpp], dtype=dt)
-                for src, dt in zip(columns, self.dtypes)
-            )
-            self._sealed.append(page)
-            sealed += 1
-            pos += rpp
-        if pos < n:
-            for col, src in zip(self._top, columns):
-                col.extend(src[pos:].tolist())
         return sealed
 
     # -- observability ------------------------------------------------------
@@ -118,7 +119,7 @@ class RecordPageBuffer:
 
     @property
     def top_records(self) -> int:
-        return len(self._top[0])
+        return self._fill
 
     @property
     def sealed_pages(self) -> int:
@@ -127,11 +128,12 @@ class RecordPageBuffer:
     @property
     def pages_used(self) -> int:
         """Buffer pages occupied: sealed pages plus a partial top page."""
-        return self.sealed_pages + (1 if self.top_records else 0)
+        return self.sealed_pages + (1 if self._fill else 0)
 
     @property
     def n_records(self) -> int:
-        return self.sealed_pages * self.records_per_page + self.top_records
+        # a force-sealed page holds fewer than records_per_page records
+        return sum(page[0].shape[0] for page in self._sealed) + self._fill
 
     # -- draining -------------------------------------------------------------
 
@@ -144,29 +146,27 @@ class RecordPageBuffer:
 
     def force_seal(self) -> None:
         """Seal a partial top page (used when flushing everything)."""
-        if self.top_records:
+        if self._fill:
             self._seal_top()
+
+    def _concat(self, pages: List[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
+        if not pages:
+            return tuple(np.empty(0, dtype=dt) for dt in self.dtypes)
+        return tuple(np.concatenate([p[i] for p in pages]) for i in range(len(self.fields)))
 
     def drain_all(self) -> Tuple[np.ndarray, ...]:
         """Consume every buffered record as one concatenated column set."""
         self.force_seal()
-        if not self._sealed:
-            return tuple(np.empty(0, dtype=dt) for dt in self.dtypes)
-        cols = tuple(
-            np.concatenate([page[i] for page in self._sealed])
-            for i in range(len(self.fields))
-        )
+        cols = self._concat(self._sealed)
         self._sealed.clear()
         return cols
 
     def peek_all(self) -> Tuple[np.ndarray, ...]:
         """Like :meth:`drain_all` but without consuming the buffer."""
         parts = list(self._sealed)
-        if self.top_records:
-            parts.append(tuple(np.asarray(col, dtype=dt) for col, dt in zip(self._top, self.dtypes)))
-        if not parts:
-            return tuple(np.empty(0, dtype=dt) for dt in self.dtypes)
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(self.fields)))
+        if self._fill:
+            parts.append(tuple(c[: self._fill] for c in self._cols))
+        return self._concat(parts)
 
     # -- checkpoint/restore ---------------------------------------------------
 
@@ -176,17 +176,22 @@ class RecordPageBuffer:
         Unlike :meth:`peek_all` this keeps sealed pages distinct from
         the partial top page, so a restored buffer flushes the exact
         same page sequence as the original would have -- which is what
-        crash-recovery determinism needs.
+        crash-recovery determinism needs.  The top page is exported as
+        one list of Python scalars per field.
         """
         return {
             "sealed": [tuple(np.array(c, copy=True) for c in page) for page in self._sealed],
-            "top": [list(col) for col in self._top],
+            "top": [c[: self._fill].tolist() for c in self._cols],
         }
 
     def restore_pages(self, state: dict) -> None:
         """Inverse of :meth:`export_pages`; replaces current contents."""
         self._sealed = [tuple(np.array(c, copy=True) for c in page) for page in state["sealed"]]
-        self._top = [list(col) for col in state["top"]]
+        self._new_top()
+        top = state["top"]
+        self._fill = len(top[0])
+        for col, values in zip(self._cols, top):
+            col[: self._fill] = values
 
 
 class ByteStreamPager:

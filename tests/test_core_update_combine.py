@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.combine import COMBINED_SRC, combine_sorted, validate_combine
-from repro.core.update import UpdateBatch
+from repro.core.update import UpdateBatch, stable_order
 from repro.errors import ProgramError
 
 
@@ -54,6 +56,46 @@ class TestUpdateBatch:
     def test_is_sorted(self):
         assert UpdateBatch.of([1, 2, 2], [0] * 3, [0.0] * 3).is_sorted()
         assert not UpdateBatch.of([2, 1], [0] * 2, [0.0] * 2).is_sorted()
+
+
+def _spanning(lo, span, dtype, n=5000, seed=0):
+    """Shuffled keys covering exactly ``[lo, lo + span]``, with repeats."""
+    rng = np.random.default_rng(seed)
+    keys = np.concatenate([[lo, lo + span], lo + rng.integers(0, span + 1, n)])
+    return rng.permutation(keys).astype(dtype)
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.empty(0, np.int32),
+            np.array([7], np.int32),
+            np.array([3, -2, 3, -7, -2, 0], np.int32),
+            _spanning(-40_000, 2**16 - 1, np.int32),  # widest radix span
+            _spanning(-40_000, 2**16, np.int32),  # first fallback span
+            _spanning(2**40, 1000, np.int64),
+            _spanning(-(2**40), 2**20, np.int64),
+            np.array([65536, 65535, -(2**31), 2**31 - 1], np.int32),  # span overflows int32
+            np.array([200, 3, 200, 0], np.uint8),
+        ],
+        ids=lambda k: f"{k.dtype}-n{k.shape[0]}",
+    )
+    def test_equals_stable_argsort(self, keys):
+        got = stable_order(keys)
+        want = np.argsort(keys, kind="stable")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=200))
+    def test_group_equals_unique(self, dests):
+        b = UpdateBatch.of(dests, range(len(dests)), [0.0] * len(dests)).sort_by_dest()
+        uniq, offsets = b.group()
+        want_uniq, starts = np.unique(b.dest, return_index=True)
+        assert uniq.dtype == want_uniq.dtype and offsets.dtype == np.int64
+        np.testing.assert_array_equal(uniq, want_uniq)
+        np.testing.assert_array_equal(offsets, np.append(starts, b.n))
 
 
 class TestCombine:

@@ -344,7 +344,11 @@ class TestKnobs:
         monkeypatch.setenv("REPRO_DEVICES", "4")
         assert SimConfig().num_devices == 4
         monkeypatch.setenv("REPRO_DEVICES", "not-a-number")
-        assert SimConfig().num_devices == 1
+        with pytest.raises(ConfigError, match="REPRO_DEVICES='not-a-number'"):
+            SimConfig()
+        monkeypatch.setenv("REPRO_DEVICES", "0")
+        with pytest.raises(ConfigError, match="REPRO_DEVICES='0'"):
+            SimConfig()
         monkeypatch.delenv("REPRO_DEVICES")
         assert SimConfig().num_devices == 1
 

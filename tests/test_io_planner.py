@@ -261,7 +261,8 @@ class TestKnobs:
         monkeypatch.setenv("REPRO_IO_PLAN", "coalesce+readahead")
         assert SimConfig().io_plan == "coalesce+readahead"
         monkeypatch.setenv("REPRO_IO_PLAN", "nonsense")
-        assert SimConfig().io_plan == "off"
+        with pytest.raises(ConfigError, match="REPRO_IO_PLAN='nonsense'"):
+            SimConfig()
 
     def test_options_fold_into_config(self):
         opts = EngineOptions(io_plan="coalesce", readahead_pages=16)

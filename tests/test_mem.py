@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import small_test_config
 from repro.errors import BudgetExceededError
@@ -112,6 +114,113 @@ class TestRecordPageBuffer:
     def test_fields_dtypes_mismatch(self):
         with pytest.raises(ValueError):
             RecordPageBuffer(("a", "b"), (np.int32,), 4)
+
+
+class _ListPageModel:
+    """List-of-records reference for :class:`RecordPageBuffer`."""
+
+    def __init__(self, rpp):
+        self.rpp, self.top, self.sealed = rpp, [], []
+
+    def append(self, rec):
+        self.top.append(rec)
+        if len(self.top) == self.rpp:
+            self.force_seal()
+            return True
+        return False
+
+    def append_many(self, recs):
+        return sum(self.append(r) for r in recs)
+
+    def force_seal(self):
+        if self.top:
+            self.sealed.append(self.top)
+            self.top = []
+
+    def pop_sealed(self, k):
+        k = len(self.sealed) if k is None else min(k, len(self.sealed))
+        out, self.sealed = self.sealed[:k], self.sealed[k:]
+        return out
+
+    def records(self):
+        return [r for page in self.sealed for r in page] + self.top
+
+
+_DTYPES = (np.int32, np.int32, np.float64)
+_record = st.tuples(
+    st.integers(-(2**31), 2**31 - 1),
+    st.integers(0, 2**20),
+    st.floats(allow_nan=False, width=64),
+)
+_buffer_op = st.one_of(
+    st.tuples(st.just("append"), _record),
+    st.tuples(st.just("append_many"), st.lists(_record, max_size=12)),
+    st.tuples(st.just("force_seal")),
+    st.tuples(st.just("pop_sealed"), st.none() | st.integers(0, 3)),
+    st.tuples(st.just("peek_all")),
+    st.tuples(st.just("drain_all")),
+    st.tuples(st.just("export_restore")),
+)
+
+
+def _columns(recs):
+    return tuple(np.array([r[i] for r in recs], dtype=dt) for i, dt in enumerate(_DTYPES))
+
+
+def _assert_cols(got, recs):
+    for col, want in zip(got, _columns(recs)):
+        assert col.dtype == want.dtype
+        np.testing.assert_array_equal(col, want)
+
+
+class TestRecordPageBufferModel:
+    """Random operation sequences against the list-based model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rpp=st.integers(1, 5), ops=st.lists(_buffer_op, max_size=40))
+    def test_matches_list_model(self, rpp, ops):
+        buf = RecordPageBuffer(("d", "s", "x"), _DTYPES, rpp)
+        model = _ListPageModel(rpp)
+        for op in ops:
+            kind = op[0]
+            if kind == "append":
+                assert buf.append(*op[1]) == model.append(op[1])
+            elif kind == "append_many":
+                # int64 sources exercise the cast to the page dtypes
+                cols = (
+                    np.array([r[0] for r in op[1]], dtype=np.int64),
+                    np.array([r[1] for r in op[1]], dtype=np.int64),
+                    np.array([r[2] for r in op[1]], dtype=np.float64),
+                )
+                assert buf.append_many(*cols) == model.append_many(op[1])
+            elif kind == "force_seal":
+                buf.force_seal()
+                model.force_seal()
+            elif kind == "pop_sealed":
+                got, want = buf.pop_sealed(op[1]), model.pop_sealed(op[1])
+                assert len(got) == len(want)
+                for page, recs in zip(got, want):
+                    _assert_cols(page, recs)
+            elif kind == "peek_all":
+                _assert_cols(buf.peek_all(), model.records())
+            elif kind == "drain_all":
+                _assert_cols(buf.drain_all(), model.records())
+                model.sealed, model.top = [], []
+            else:
+                state = buf.export_pages()
+                # checkpoint format: the top page as Python scalar lists
+                assert state["top"] == [[r[i] for r in model.top] for i in range(3)]
+                assert all(type(v) in (int, float) for col in state["top"] for v in col)
+                buf = RecordPageBuffer(("d", "s", "x"), _DTYPES, rpp)
+                buf.restore_pages(state)
+            exported = buf.export_pages()
+            assert len(exported["sealed"]) == len(model.sealed)
+            for page, recs in zip(exported["sealed"], model.sealed):
+                _assert_cols(page, recs)
+            assert buf.top_records == len(model.top)
+            assert buf.sealed_pages == len(model.sealed)
+            assert buf.pages_used == len(model.sealed) + (1 if model.top else 0)
+            assert buf.n_records == len(model.records())
 
 
 class TestByteStreamPager:

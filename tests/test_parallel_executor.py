@@ -185,7 +185,8 @@ class TestNumWorkersKnob:
         monkeypatch.setenv("REPRO_NUM_WORKERS", "5")
         assert SimConfig().num_workers == 5
         monkeypatch.setenv("REPRO_NUM_WORKERS", "junk")
-        assert SimConfig().num_workers == 1
+        with pytest.raises(ConfigError, match="REPRO_NUM_WORKERS='junk'"):
+            SimConfig()
 
     def test_option_overrides_config(self):
         res = repro.run(
