@@ -82,7 +82,7 @@ class GraFBoost:
         options = resolve_options(
             self.name, options, fs=fs, adapted=adapted, merge_fanout=merge_fanout
         )
-        config = apply_config_options(config, options, fs)
+        config = apply_config_options(config, options)
         if program.mutates_structure:
             raise EngineError("the GraFBoost baseline runs static graphs")
         if not options.adapted and program.combine is None:

@@ -64,7 +64,7 @@ class GraphChi:
     ) -> None:
         # GraphChi has no tuning knobs; validation rejects stray options.
         self.options = resolve_options(self.name, options, fs=fs)
-        config = apply_config_options(config, self.options, fs)
+        config = apply_config_options(config, self.options)
         if program.mutates_structure:
             raise EngineError(
                 "structural updates are implemented on the MultiLogVC engine; "

@@ -77,7 +77,7 @@ class GridGraph:
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
         options = resolve_options(self.name, options, fs=fs, intervals=intervals)
-        config = apply_config_options(config, options, fs)
+        config = apply_config_options(config, options)
         if program.combine is None:
             raise EngineError(
                 "GridGraph's streaming accumulation requires a combine operator "

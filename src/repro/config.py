@@ -321,19 +321,15 @@ class SimConfig:
     #: ``memory.cache_bytes_default`` (the ``cache_fraction`` share of
     #: host DRAM).  Ignored while ``cache_policy="none"``.
     cache_bytes: Optional[int] = None
-    #: How many interval groups the superstep pipeline may prepare ahead
-    #: of the group being processed (§V-A3 / §VI overlap of log loading
-    #: with compute).  ``0`` disables the prefetch thread and reproduces
-    #: strictly serial group execution (the ablation baseline); any depth
-    #: produces bit-identical results and accounting because prefetched
-    #: I/O charges are deferred and replayed in serial order.
-    pipeline_depth: int = 1
-    #: Worker threads for the deterministic parallel interval executor
-    #: (DESIGN.md §11).  ``1`` reproduces strictly serial group
-    #: execution; any count yields bit-identical values, records and
-    #: traces because workers compute speculatively and commit in
-    #: canonical interval order.  The default honours the
-    #: ``REPRO_NUM_WORKERS`` environment variable (CI matrix knob).
+    #: Worker threads of the speculate/commit interval executor
+    #: (DESIGN.md §11), the engine's only concurrency knob.  ``1``
+    #: speculates each group inline on the accounting thread, right
+    #: before its commit; ``N > 1`` speculates up to ``N + 2`` groups
+    #: ahead on ``N`` threads (§V-A3 overlap of log loading with
+    #: compute).  Any count yields bit-identical values, records and
+    #: traces because groups commit in canonical interval order.  The
+    #: default honours the ``REPRO_NUM_WORKERS`` environment variable
+    #: (CI matrix knob).
     num_workers: int = field(default_factory=_default_num_workers)
     #: Superstep I/O planner (DESIGN.md §13).  ``"off"`` (the default)
     #: reproduces the seed's per-path device batches exactly;
@@ -387,8 +383,6 @@ class SimConfig:
             raise ConfigError("page_efficiency_threshold must be in (0, 1)")
         if self.mutation_merge_threshold < 1:
             raise ConfigError("mutation_merge_threshold must be >= 1")
-        if self.pipeline_depth < 0:
-            raise ConfigError("pipeline_depth must be >= 0")
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
         if self.cache_policy not in ("none", "clock"):
@@ -429,10 +423,6 @@ class SimConfig:
     def with_channels(self, channels: int) -> "SimConfig":
         """Return a copy with a different SSD channel count."""
         return dataclasses.replace(self, ssd=dataclasses.replace(self.ssd, channels=channels))
-
-    def with_pipeline_depth(self, depth: int) -> "SimConfig":
-        """Return a copy with a different group-prefetch depth."""
-        return dataclasses.replace(self, pipeline_depth=depth)
 
     def with_workers(self, num_workers: int) -> "SimConfig":
         """Return a copy with a different parallel-executor worker count."""

@@ -12,7 +12,6 @@ from .engine import MultiLogVC
 from .loader import GraphLoaderUnit, LoadReport
 from .multilog import MultiLogUnit
 from .mutation import MutationBuffer
-from .pipeline import GroupPipeline, PreparedGroup
 from .results import ComputeMeter, RunResult, SuperstepRecord, speedup
 from .sortgroup import SortedGroup, SortGroupUnit
 from .update import UpdateBatch
@@ -28,8 +27,6 @@ __all__ = [
     "LoadReport",
     "MultiLogUnit",
     "MutationBuffer",
-    "GroupPipeline",
-    "PreparedGroup",
     "ComputeMeter",
     "RunResult",
     "SuperstepRecord",

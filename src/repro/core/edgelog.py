@@ -131,7 +131,7 @@ class EdgeLogOptimizer:
     def charge_read(self, hit_vertices: np.ndarray, defer: bool = False, plan=None) -> Tuple[float, int]:
         """Charge reads of the log pages covering the given hit vertices.
 
-        ``defer=True`` (parallel executor, worker thread) skips the
+        ``defer=True`` (group executor speculation) skips the
         cumulative accumulators -- they are checkpointed and gauge-read,
         so their update order must stay canonical; the caller applies
         them with :meth:`apply_read_tally` at the group's commit point.

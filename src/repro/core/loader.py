@@ -110,7 +110,7 @@ class GraphLoaderUnit:
         storage arrays (simulation shortcut -- the I/O cost is what is
         modelled here).
 
-        ``defer=True`` (parallel executor, worker thread) leaves this
+        ``defer=True`` (group executor speculation) leaves this
         unit's and the edge log's shared cumulative tallies untouched;
         the caller applies them from the report at the group's commit
         point via :meth:`apply_report` (page reads themselves are

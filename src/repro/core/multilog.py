@@ -41,11 +41,11 @@ KLASS_MLOG = "mlog"
 
 
 class ConsumeLedger:
-    """Deferred shared-scalar deltas from a worker-thread group prepare.
+    """Deferred shared-scalar deltas from a speculated group prepare.
 
-    The parallel interval executor (DESIGN.md §11) runs
-    :meth:`MultiLogUnit.consume` and the sort/group step on worker
-    threads speculatively.  Per-interval state (buffers, files,
+    The group executor (DESIGN.md §11) runs :meth:`MultiLogUnit.consume`
+    and the sort/group step speculatively, on worker threads when
+    ``num_workers > 1``.  Per-interval state (buffers, files,
     counters) is disjoint across groups and safe to touch in place, but
     the units' *cumulative* scalars (float I/O-time accumulators, page
     and record tallies) are shared: mutating them from workers would
@@ -319,7 +319,7 @@ class MultiLogUnit:
         this unit's ``io_time_us``), drains the still-buffered records,
         and resets counters.  Returns the concatenated unsorted batch.
 
-        With ``ledger`` (parallel executor, worker thread), the shared
+        With ``ledger`` (group executor speculation), the shared
         cumulative scalars -- ``io_time_us`` and the buffered-page count
         -- are recorded on the ledger instead of mutated in place; the
         caller applies them via :meth:`apply_consume_ledger` at the
@@ -358,7 +358,7 @@ class MultiLogUnit:
         return UpdateBatch(*(np.concatenate(col) for col in zip(*pages)))
 
     def apply_consume_ledger(self, ledger: ConsumeLedger) -> None:
-        """Apply a worker-thread consume's deferred deltas (commit point).
+        """Apply a speculated consume's deferred deltas (commit point).
 
         The individual float durations are re-added one by one so the
         accumulator goes through the exact same sequence of partial sums

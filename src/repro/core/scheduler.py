@@ -1,11 +1,13 @@
-"""Deterministic parallel interval executor (DESIGN.md §11).
+"""Deterministic speculate/commit interval executor (DESIGN.md §11).
 
 MultiLogVC's central claim is that concurrent processing of independent
-vertex intervals keeps the flash channels saturated (paper §V, Fig. 3).
-This module supplies the compute half of that claim: a thread-pool
-executor that *speculatively* prepares and processes several interval
-groups of one superstep at once, plus the bookkeeping that commits their
-effects in canonical interval order.
+vertex intervals keeps the flash channels saturated (paper §V, Fig. 3),
+overlapping multi-log loading with vertex processing (§V-A3).  This
+module is the engine's one group executor: every interval group of a
+superstep is *speculated* (prepared and processed) into a
+:class:`GroupWork`, and the accounting thread *commits* the results in
+canonical interval order.  The serial run is the ``workers == 1`` case
+of the same protocol, not a separate code path.
 
 Speculate/commit split
 ----------------------
@@ -17,11 +19,12 @@ charges, trace events, the active tracker, the next-generation multi-log
 and the next edge-log generation all have a serial order that the
 determinism contract (bit-exact results at any worker count) requires.
 
-So each worker runs the *speculation* phase for one group:
+So the speculation phase of one group runs:
 
 * multi-log ``consume`` + dest-sort + ``load_active`` with the device's
   thread-local deferred-charge queue armed and the units' shared
-  cumulative scalars routed into a :class:`ConsumeLedger`;
+  cumulative scalars routed into a :class:`ConsumeLedger` (and the
+  loader's into its deferred :class:`~repro.core.loader.LoadReport`);
 * the vertex program, with ``send``/``send_many``/``send_batch`` routed
   into per-group buffers instead of the live next-generation multi-log.
 
@@ -30,8 +33,16 @@ replays the deferred device charges, applies the ledgers, replays the
 buffered sends through the live multi-log, evaluates the edge-log
 decisions (whose active-vertex prediction depends on earlier groups'
 sends, so it must happen here, not during speculation), charges the
-compute meter and emits trace events -- producing exactly the state and
-event sequence of a serial run.
+compute meter and emits trace events -- producing exactly the same
+state and event sequence at any worker count.
+
+With one worker, :meth:`ParallelGroupScheduler.run` speculates each
+group inline on the calling thread, just before its commit.  Group
+``g + 1`` is therefore speculated only after group ``g`` committed,
+which is what the order-dependent features need: asynchronous mode
+consumes same-superstep updates committed by earlier groups, structural
+mutation overlays earlier groups' edits, and the page cache's CLOCK
+state and an armed fault plan only ever see the accounting thread.
 
 Overlap model
 -------------
@@ -56,13 +67,55 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..ssd.device import ChargeOp, SimulatedSSD, merge_overlap
+from .loader import LoadReport
 from .multilog import ConsumeLedger
-from .pipeline import PreparedGroup
+from .sortgroup import SortedGroup
 
 #: One buffered scalar-path send: ``("send", dest, src, data)`` or
 #: ``("send_many", dests, src, datas)`` -- replayed verbatim, in order,
 #: through the live multi-log at commit.
 SendOp = Tuple[Any, ...]
+
+
+@dataclass
+class PreparedGroup:
+    """A group's consumed, sorted updates and its loaded vertex set."""
+
+    interval_ids: List[int]
+    sg: SortedGroup
+    #: sorted union of message destinations and self-active vertices
+    verts: np.ndarray
+    #: ``None`` when ``verts`` is empty (nothing was loaded)
+    report: Optional[LoadReport] = None
+    #: executed I/O plan outcome (DESIGN.md §13); ``None`` when the
+    #: planner is off.  Folded into the planner's cumulative tallies at
+    #: the group's commit point, in canonical group order.
+    io_plan: Optional[object] = None
+
+
+def charge_rollup(charges: List[ChargeOp]) -> dict:
+    """Summarise a deferred-charge queue by direction and storage class.
+
+    The engine calls this at the commit point (right after
+    :meth:`~repro.ssd.device.SimulatedSSD.commit`) to emit one
+    ``group_load`` trace event describing exactly the I/O the group's
+    preparation performed -- per-class page counts and total simulated
+    time.  The queue is identical whichever thread speculated the
+    group, so the trace is bit-identical at any worker count.
+    """
+    read_pages: dict = {}
+    write_pages: dict = {}
+    time_us = 0.0
+    for op in charges:
+        is_read, klass, pages, _nbytes, t = op[:5]
+        table = read_pages if is_read else write_pages
+        table[klass] = table.get(klass, 0) + pages
+        time_us += t
+    return {
+        "read_pages_by_class": read_pages,
+        "write_pages_by_class": write_pages,
+        "io_time_us": time_us,
+    }
 
 
 @dataclass
@@ -100,10 +153,12 @@ SpeculateFn = Callable[[List[int]], GroupWork]
 class ParallelGroupScheduler:
     """Window-bounded speculative executor yielding in canonical order.
 
-    ``workers`` threads speculate on interval groups concurrently; the
-    in-flight window is ``workers + 2`` so the accounting thread always
-    finds the next canonical group finished (or nearly so) while memory
-    stays bounded at a few groups' worth of buffered sends.
+    With ``workers > 1``, that many threads speculate on interval groups
+    concurrently; the in-flight window is ``workers + 2`` so the
+    accounting thread always finds the next canonical group finished
+    (or nearly so) while memory stays bounded at a few groups' worth of
+    buffered sends.  With ``workers == 1`` no thread is started: each
+    group is speculated inline when the caller asks for it.
     """
 
     def __init__(self, device: SimulatedSSD, workers: int) -> None:
@@ -141,6 +196,9 @@ class ParallelGroupScheduler:
         I/O charges come back as a queue for the caller to commit at
         the canonical point.  Results are yielded strictly in the order
         groups appear in the plan, regardless of completion order.
+        With one worker a group is speculated on the calling thread only
+        when the caller resumes the generator, i.e. after the previous
+        group was committed.
         """
 
         def job(group: List[int]) -> Tuple[GroupWork, List[ChargeOp]]:
@@ -148,6 +206,10 @@ class ParallelGroupScheduler:
                 work = speculate(group)
             return work, charges
 
+        if self.workers == 1:
+            for group in groups:
+                yield job(group)
+            return
         executor = self._ensure_executor()
         window = self.workers + 2
         pending: "deque[Future]" = deque()

@@ -129,7 +129,7 @@ class SortGroupUnit:
         return groups
 
     def apply_ledger(self, ledger: ConsumeLedger) -> None:
-        """Apply a worker-thread load_group's deferred tallies (commit)."""
+        """Apply a speculated load_group's deferred tallies (commit)."""
         self.groups_loaded += ledger.sort_groups
         self.records_sorted += ledger.sort_records
 
@@ -150,9 +150,9 @@ class SortGroupUnit:
         ``extra`` lets the asynchronous mode inject same-superstep
         updates produced by earlier groups.  ``charge_sort=False`` skips
         the compute-meter charge; the caller charges
-        ``SortedGroup.sort_items`` itself (the prefetch pipeline does
-        this on the accounting thread to keep meter order serial).
-        ``ledger`` (parallel executor, worker thread) defers this unit's
+        ``SortedGroup.sort_items`` itself (the group executor does this
+        at the commit point to keep meter order canonical).
+        ``ledger`` (group executor speculation) defers this unit's
         and the multi-log's shared cumulative tallies to the commit
         point; apply with :meth:`apply_ledger` /
         :meth:`~repro.core.multilog.MultiLogUnit.apply_consume_ledger`.

@@ -17,8 +17,8 @@ crash semantics are untouched.
 
 Determinism: every access mutates the CLOCK state, so hit patterns
 depend on access *order*.  All engines drive the cache from the
-accounting thread only (MultiLogVC forces ``pipeline_depth=0`` when a
-cache is attached), which makes hit/miss sequences -- and therefore
+accounting thread only (MultiLogVC runs its group executor with one
+worker, inline on that thread, when a cache is attached), which makes hit/miss sequences -- and therefore
 stats and traces -- reproducible run over run.
 
 The cache is device-array-agnostic (DESIGN.md §14): keys are

@@ -4,8 +4,8 @@ Two independent, individually-optional instruments threaded through all
 four engines (MultiLogVC, GraphChi, GraFBoost, GridGraph/X-Stream):
 
 * :class:`Tracer` / :class:`TraceRecorder` -- typed event stream
-  stamped with simulated time (deterministic and bit-identical across
-  pipeline depths); serialised to JSONL by :func:`write_jsonl` and
+  stamped with simulated time (deterministic and bit-identical at any
+  worker count); serialised to JSONL by :func:`write_jsonl` and
   rolled up by :func:`trace_summary`.
 * :class:`MetricsRegistry` -- named counters/gauges that the engine
   units (multi-log, loader, edge-log, sort/group, page buffers)

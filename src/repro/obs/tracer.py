@@ -19,10 +19,10 @@ Determinism contract
 --------------------
 Engines emit events **only on the accounting thread**, at the point
 where the corresponding work lands in the serial execution order.  For
-the group-prefetch pipeline that point is the deferred-charge replay
-site in :meth:`repro.core.engine.MultiLogVC._superstep_loop` -- work
-prepared ahead on the worker thread is traced when its I/O charges are
-committed, so traces are bit-identical across pipeline depths.
+MultiLogVC's speculate/commit group executor that point is the commit
+site in :meth:`repro.core.engine.MultiLogVC._run_groups` -- a group
+speculated on any thread is traced when its I/O charges are committed,
+so traces are bit-identical at any worker count.
 """
 
 from __future__ import annotations

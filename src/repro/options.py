@@ -268,22 +268,15 @@ RELEVANT_OPTIONS: Dict[str, FrozenSet[str]] = {
 }
 
 
-def apply_config_options(
-    config: "SimConfig", options: EngineOptions, fs: Optional["SimFS"]
-) -> "SimConfig":
-    """Fold the options' config-level knobs (cache, workers) into ``config``.
+def apply_config_options(config: "SimConfig", options: EngineOptions) -> "SimConfig":
+    """Fold the options' config-level knobs (cache, workers, planner,
+    devices) into ``config``.
 
-    The fs-conflict check lives in :meth:`EngineOptions.validate_for`
-    (which every engine runs via :func:`resolve_options` before calling
-    this), so this helper only folds.  ``fs`` is accepted for signature
-    stability and as a belt-and-braces guard for direct callers.
+    Only folds: the fs-conflict check lives in
+    :meth:`EngineOptions.validate_for`, which every engine runs via
+    :func:`resolve_options` before calling this.
     """
     if options.cache_policy is not None or options.cache_bytes is not None:
-        if fs is not None:
-            raise EngineError(
-                "cache_policy/cache_bytes cannot be combined with an explicit fs; "
-                "enable the cache on the SimConfig the fs was built from instead"
-            )
         policy = options.cache_policy if options.cache_policy is not None else "clock"
         config = config.with_cache(policy=policy, cache_bytes=options.cache_bytes)
     if options.num_workers is not None:
@@ -294,11 +287,6 @@ def apply_config_options(
             readahead_pages=options.readahead_pages,
         )
     if options.num_devices is not None or options.placement is not None:
-        if fs is not None:
-            raise EngineError(
-                "num_devices/placement cannot be combined with an explicit fs; "
-                "set them on the SimConfig the fs was built from instead"
-            )
         config = config.with_devices(options.num_devices, options.placement)
     return config
 

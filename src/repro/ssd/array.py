@@ -17,7 +17,7 @@ determinism contract the parallel executor established (DESIGN.md §11):
   applied to each device's share of the batch; every member device has
   the full ``C`` channels).  The overlay accumulates per-device busy
   clocks and a serial-vs-array time pair at the canonical commit point,
-  so it is worker-count- and pipeline-depth-invariant too.  It surfaces
+  so it is worker-count-invariant too.  It surfaces
   via ``device.*`` gauges and the per-superstep ``device_stats`` trace
   kind (excluded from crash/resume reconciliation, like
   ``parallel_stats``), and the saving is guaranteed non-negative:

@@ -129,7 +129,7 @@ class SimulatedSSD:
         This is the SSD half of the trace timestamp (engines add their
         compute-meter time).  Deferred charges advance it only when
         committed, which is what keeps trace timestamps bit-identical
-        across prefetch pipeline depths.
+        at any worker count.
         """
         return self.stats.total_time_us
 
@@ -293,7 +293,7 @@ class SimulatedSSD:
             )
         return arr
 
-    # -- deferred charging (group-prefetch pipeline) ----------------------
+    # -- deferred charging (speculate/commit executor) --------------------
 
     @contextmanager
     def deferred(self):
@@ -304,8 +304,8 @@ class SimulatedSSD:
         touched.  The caller replays the queue with :meth:`commit` on
         the accounting thread, at the point where the same charges would
         have landed under serial execution -- which is what keeps the
-        prefetch pipeline's per-superstep stats bit-identical to serial
-        mode.  The defer flag is thread-local, so other threads charging
+        executor's per-superstep stats bit-identical at any worker
+        count.  The defer flag is thread-local, so other threads charging
         concurrently are unaffected.
         """
         if getattr(self._tls, "queue", None) is not None:
@@ -383,7 +383,7 @@ class SimulatedSSD:
 
         No-op on the single device; :class:`~repro.ssd.array.DeviceArray`
         overrides it.  Called at the canonical commit point only, so the
-        overlay is worker-count- and pipeline-depth-invariant.
+        overlay is worker-count-invariant.
         """
 
     # -- device-array hooks (None on the single device) -------------------

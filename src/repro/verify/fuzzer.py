@@ -36,7 +36,7 @@ import numpy as np
 from .. import algorithms as alg
 from ..config import MemoryConfig, SimConfig, SSDConfig
 from ..core.results import RunResult
-from ..errors import RecoveryError, SimulatedCrashError
+from ..errors import ConfigError, RecoveryError, SimulatedCrashError
 from ..graph.csr import CSRGraph
 from ..graph.generators import chain_edges, ring_edges, rmat_edges, star_edges
 from ..options import EngineOptions
@@ -233,15 +233,34 @@ def build_program(case: ConformanceCase):
     return _PROGRAM_FACTORIES[case.program](case.prog_params)
 
 
+#: Keys a case's config dict may carry (see :func:`build_config`).
+CONFIG_KEYS = frozenset({
+    "page_size", "channels", "total_bytes", "num_workers", "cache_policy",
+    "cache_bytes", "io_plan", "readahead_pages", "num_devices", "placement",
+    "stream_compact_threshold",
+})
+
+
 def build_config(cdict: Dict[str, Any]) -> SimConfig:
+    """The :class:`SimConfig` a case's config dict describes.
+
+    Absent keys take fixed defaults, never the ``REPRO_*`` environment.
+    An unknown key raises :class:`~repro.errors.ConfigError`, so a
+    stale case fails loudly instead of running another configuration.
+    """
+    unknown = sorted(set(cdict) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"unknown config key(s) {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(CONFIG_KEYS))}"
+        )
     cache_bytes = cdict.get("cache_bytes")
-    return SimConfig(
+    cfg = SimConfig(
         ssd=SSDConfig(
             page_size=int(cdict.get("page_size", 4096)),
             channels=int(cdict.get("channels", 4)),
         ),
         memory=MemoryConfig(total_bytes=int(cdict.get("total_bytes", 256 * 1024))),
-        pipeline_depth=int(cdict.get("pipeline_depth", 1)),
         num_workers=int(cdict.get("num_workers", 1)),
         cache_policy=str(cdict.get("cache_policy", "none")),
         cache_bytes=None if cache_bytes is None else int(cache_bytes),
@@ -250,6 +269,9 @@ def build_config(cdict: Dict[str, Any]) -> SimConfig:
         num_devices=int(cdict.get("num_devices", 1)),
         placement=str(cdict.get("placement", "affinity")),
     )
+    if "stream_compact_threshold" in cdict:
+        cfg = cfg.with_stream(compact_threshold=float(cdict["stream_compact_threshold"]))
+    return cfg
 
 
 def build_options(case: ConformanceCase) -> Optional[EngineOptions]:
@@ -443,7 +465,6 @@ def _config_dict(rng: np.random.Generator) -> Dict[str, Any]:
         "page_size": page,
         "total_bytes": total,
         "channels": int(rng.choice([1, 2, 4])),
-        "pipeline_depth": int(rng.choice([0, 1, 2])),
         # Parallel interval executor (DESIGN.md §11): results must be
         # bit-identical at any worker count, so the oracle comparison
         # doubles as a determinism check for the speculate/commit path.

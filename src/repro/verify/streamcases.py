@@ -177,10 +177,6 @@ def run_stream_case(case: StreamCase) -> StreamOutcome:
     try:
         graph = build_graph(case.graph)
         cfg = build_config(case.config)
-        if "stream_compact_threshold" in case.config:
-            cfg = cfg.with_stream(
-                compact_threshold=float(case.config["stream_compact_threshold"])
-            )
         program = _PROGRAM_FACTORIES[case.program](case.prog_params)
         session = StreamSession(
             graph, program, config=cfg,

@@ -1,14 +1,17 @@
-"""Batch-kernel parity and pipeline determinism.
+"""Batch-kernel parity and worker-count determinism.
 
 Two guarantees from the hot-path overhaul, both exact:
 
 * every algorithm with a ``process_batch`` kernel computes the *same*
   values, activation traces and message counts as its scalar
   ``process`` path, in both sync and async modes, on multiple graphs;
-* the group-prefetch pipeline (``pipeline_depth`` > 0) reproduces the
-  serial engine bit-for-bit: identical :class:`SuperstepRecord`
-  streams, values, page counters and simulated timing.
+* the speculate/commit executor at 4 workers reproduces the one-worker
+  run bit-for-bit -- batch kernels, scalar kernels and batches the
+  program declines alike: identical :class:`SuperstepRecord` streams,
+  values, page counters, simulated timing and traces.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from repro.config import small_test_config
 from repro.core import MultiLogVC
 from repro.core.batch import segment_min, segment_mode, segment_sum
 from repro.graph.datasets import small_rmat
+from repro.obs import TraceRecorder
 from repro.algorithms import (
     BFSProgram,
     CommunityDetectionProgram,
@@ -122,34 +126,73 @@ PIPELINE_PROGRAMS = [
 ]
 
 
-class TestPipelineDeterminism:
-    """pipeline_depth > 0 must be bit-identical to serial (depth 0)."""
+class DecliningPageRank(DeltaPageRankProgram):
+    """PageRank whose batch kernel declines every group starting at an
+    odd vertex id, and every group of odd supersteps: those groups fall
+    back to the scalar ``process`` path inside the same superstep."""
+
+    def process_batch(self, bctx):
+        if bctx.superstep % 2 or int(bctx.vids[0]) % 2:
+            return False
+        return super().process_batch(bctx)
+
+
+def run_workers(g, prog, workers, steps, **opt_kwargs):
+    cfg = small_test_config().with_workers(workers)
+    tracer = TraceRecorder()
+    opts = EngineOptions(min_intervals=4, **opt_kwargs)
+    return MultiLogVC(g, prog, cfg, options=opts, tracer=tracer).run(steps, seed=0)
+
+
+def assert_bit_exact(a, b):
+    assert np.array_equal(
+        np.nan_to_num(a.values, posinf=-1), np.nan_to_num(b.values, posinf=-1)
+    )
+    assert records_equal(a.supersteps, b.supersteps)
+    assert a.pages_read == b.pages_read
+    assert a.pages_written == b.pages_written
+    assert a.stats.total_time_us == b.stats.total_time_us
+    assert a.compute_time_us == b.compute_time_us
+    # parallel_stats is the only worker-count-dependent trace kind.
+    strip = lambda r: [e.to_dict() for e in r.trace if e.kind != "parallel_stats"]
+    assert strip(a) == strip(b)
+
+
+class TestWorkerCountDeterminism:
+    """The executor at W=4 must be bit-identical to W=1 (inline)."""
 
     @pytest.mark.parametrize("factory,weighted", PIPELINE_PROGRAMS)
-    def test_depth0_vs_depth2_identical(self, factory, weighted):
+    def test_w1_vs_w4_identical(self, factory, weighted):
         g = graph_for(3, weighted)
-        results = []
-        for depth in (0, 2):
-            cfg = small_test_config().with_pipeline_depth(depth)
-            results.append(
-                MultiLogVC(g, factory(), cfg, options=EngineOptions(min_intervals=4)).run(12, seed=0)
-            )
-        serial, piped = results
-        assert np.array_equal(
-            np.nan_to_num(serial.values, posinf=-1),
-            np.nan_to_num(piped.values, posinf=-1),
-        )
-        assert records_equal(serial.supersteps, piped.supersteps)
-        assert serial.pages_read == piped.pages_read
-        assert serial.pages_written == piped.pages_written
-        assert serial.stats.total_time_us == piped.stats.total_time_us
-        assert serial.compute_time_us == piped.compute_time_us
+        serial, parallel = (run_workers(g, factory(), w, 12) for w in (1, 4))
+        assert_bit_exact(serial, parallel)
 
-    def test_depth1_and_depth3_also_identical(self):
+    @pytest.mark.parametrize("factory,weighted", PIPELINE_PROGRAMS)
+    def test_scalar_kernels_w1_vs_w4_identical(self, factory, weighted):
+        g = graph_for(3, weighted)
+        serial, parallel = (
+            run_workers(g, scalar_variant(factory()), w, 12) for w in (1, 4)
+        )
+        assert_bit_exact(serial, parallel)
+        assert not any(
+            e.fields["batched"] for e in serial.trace if e.kind == "group_process"
+        )
+
+    def test_declined_batch_w1_vs_w4_identical(self):
+        g = graph_for(11, False)
+        serial, parallel = (run_workers(g, DecliningPageRank(), w, 10) for w in (1, 4))
+        assert_bit_exact(serial, parallel)
+        batched = [e.fields["batched"] for e in serial.trace if e.kind == "group_process"]
+        assert True in batched and False in batched
+        # Declining only changes which kernel ran, never the values.
+        plain = run_workers(g, DeltaPageRankProgram(), 1, 10)
+        assert np.array_equal(serial.values, plain.values)
+
+    def test_default_intervals_identical(self):
         g = graph_for(11, False)
         baseline = None
-        for depth in (0, 1, 3):
-            cfg = small_test_config().with_pipeline_depth(depth)
+        for workers in (1, 4):
+            cfg = small_test_config().with_workers(workers)
             r = MultiLogVC(g, DeltaPageRankProgram(threshold=1e-3), cfg).run(10, seed=0)
             if baseline is None:
                 baseline = r
@@ -158,22 +201,36 @@ class TestPipelineDeterminism:
                 assert records_equal(baseline.supersteps, r.supersteps)
                 assert baseline.stats.total_time_us == r.stats.total_time_us
 
-    def test_async_mode_forces_serial_but_still_runs(self):
-        # Async disables prefetch internally (cross-group message flow);
-        # a nonzero depth must not change results there either.
+    def test_one_worker_speculates_inline_after_each_commit(self):
+        # Async mode, mutation, the cache and fault plans rely on this:
+        # group g+1 is speculated on the calling thread, and only once
+        # group g has been handed back (and committed).
+        from repro.core.scheduler import ParallelGroupScheduler
+        from repro.ssd.device import SimulatedSSD
+
+        events = []
+
+        def speculate(group):
+            events.append(("speculate", group[0], threading.current_thread()))
+            return group
+
+        sched = ParallelGroupScheduler(SimulatedSSD(small_test_config()), 1)
+        for work, charges in sched.run([[i] for i in range(4)], speculate):
+            events.append(("commit", work[0], threading.current_thread()))
+        assert [e[:2] for e in events] == [
+            (kind, i) for i in range(4) for kind in ("speculate", "commit")
+        ]
+        assert all(e[2] is threading.main_thread() for e in events)
+        assert sched._executor is None
+
+    def test_async_mode_forces_one_worker_but_still_runs(self):
+        # Async consumes same-superstep updates of earlier groups, so it
+        # runs with one worker whatever is requested.
         g = graph_for(3, False)
-        runs = []
-        for depth in (0, 2):
-            cfg = small_test_config().with_pipeline_depth(depth)
-            runs.append(MultiLogVC(g, WCCProgram(), cfg, options=EngineOptions(mode="async")).run(40, seed=0))
+        runs = [run_workers(g, WCCProgram(), w, 40, mode="async") for w in (1, 4)]
         assert np.array_equal(runs[0].values, runs[1].values)
         assert records_equal(runs[0].supersteps, runs[1].supersteps)
-
-    def test_depth_validation(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            small_test_config().with_pipeline_depth(-1)
+        assert not [e for e in runs[1].trace if e.kind == "parallel_stats"]
 
 
 class TestSegmentedHelpers:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.multilog import MultiLogUnit
 from repro.core.update import UpdateBatch
+from repro.errors import ConfigError
 from repro.verify import (
     ConformanceCase,
     fuzz,
@@ -25,7 +26,7 @@ from repro.verify import (
     save_case,
     shrink,
 )
-from repro.verify.fuzzer import build_graph, explicit_spec, generate_case
+from repro.verify.fuzzer import build_config, build_graph, explicit_spec, generate_case
 from repro.verify.shrinker import _ddmin
 
 
@@ -70,6 +71,13 @@ def test_explicit_spec_round_trips():
     assert np.array_equal(g.colidx, g2.colidx)
     if g.weights is not None:
         assert np.array_equal(g.weights, g2.weights)
+
+
+def test_build_config_rejects_unknown_keys():
+    # A stale case must fail loudly, not silently run another config.
+    with pytest.raises(ConfigError, match="pipeline_depth"):
+        build_config({"num_workers": 2, "pipeline_depth": 0})
+    assert build_config({"num_workers": 2}).num_workers == 2
 
 
 def test_quick_fuzz_all_engines_conform():

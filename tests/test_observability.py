@@ -7,7 +7,7 @@ Three contracts are pinned here:
    stats are identical to an untraced run, on all four engines.
 2. **Exact reconciliation** -- the ``superstep_end`` events in a trace
    carry the same fields as ``RunResult.supersteps``, event-for-record,
-   and traces are bit-identical across pipeline depths.
+   and traces are bit-identical at any worker count.
 3. **Facade equivalence** -- ``repro.run()`` returns the same result as
    direct engine construction, while consolidating the old divergent
    constructor kwargs into :class:`EngineOptions` (deprecated kwargs
@@ -141,17 +141,18 @@ class TestTraceReconciliation:
             )
             assert step_proc == rec.active_vertices
 
-    def test_trace_identical_across_pipeline_depths(self, cfg, rmat256):
+    def test_trace_identical_across_worker_counts(self, cfg, rmat256):
         results = {}
-        for depth in (0, 2):
+        for workers in (1, 4):
             tracer = TraceRecorder()
             res = MultiLogVC(
-                rmat256, pagerank(), cfg.with_pipeline_depth(depth), tracer=tracer
+                rmat256, pagerank(), cfg.with_workers(workers), tracer=tracer
             ).run(STEPS)
-            results[depth] = res
-        t0 = [e.to_dict() for e in results[0].trace]
-        t2 = [e.to_dict() for e in results[2].trace]
-        assert t0 == t2
+            results[workers] = res
+        # parallel_stats is the only worker-count-dependent trace kind.
+        t1 = [e.to_dict() for e in results[1].trace if e.kind != "parallel_stats"]
+        t4 = [e.to_dict() for e in results[4].trace if e.kind != "parallel_stats"]
+        assert t1 == t4
 
 
 class TestMetrics:

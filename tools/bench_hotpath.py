@@ -2,13 +2,11 @@
 """Wall-clock benchmark for the superstep hot path.
 
 Times PageRank, SSSP and CDLP on the paper-scale synthetic graphs
-twice each:
+twice each, on the same engine configuration and group executor:
 
 * **baseline** -- scalar per-vertex kernels (``supports_batch`` forced
-  off) with the prefetch pipeline disabled (``pipeline_depth=0``),
-  i.e. the engine as it stood before the hot-path overhaul;
-* **optimized** -- the batch kernels plus the default group-prefetch
-  pipeline.
+  off), i.e. the vertex loop as it stood before the hot-path overhaul;
+* **optimized** -- the vectorised batch kernels.
 
 Both runs produce bit-identical vertex values (checked); only host
 wall-clock differs.  Results land in ``BENCH_hotpath.json`` next to the
@@ -87,12 +85,11 @@ def measure(scale: str, steps_scale: float, repeats: int = 1):
     Returns None if any repeat produced non-identical optimized values.
     """
     cfg = DEFAULT_CONFIG
-    cfg_serial = cfg.with_pipeline_depth(0)
     out = {}
     for name, graph, factory, steps in build_workloads(scale, steps_scale):
         best = None
         for _ in range(max(1, repeats)):
-            base_s, base_r = timed_run(graph, scalar_variant(factory()), cfg_serial, steps)
+            base_s, base_r = timed_run(graph, scalar_variant(factory()), cfg, steps)
             opt_s, opt_r = timed_run(graph, factory(), cfg, steps)
             same = np.array_equal(
                 np.nan_to_num(base_r.values, posinf=-1),
@@ -118,7 +115,7 @@ def measure(scale: str, steps_scale: float, repeats: int = 1):
             f"{name:10s} n={best['graph_vertices']:6d} m={best['graph_edges']:7d}"
             f" steps={best['supersteps']:3d}"
             f"  scalar={best['baseline_seconds']:7.2f}s"
-            f"  batch+pipe={best['optimized_seconds']:7.2f}s"
+            f"  batch={best['optimized_seconds']:7.2f}s"
             f"  speedup={best['speedup']:5.2f}x"
         )
     return out
@@ -694,8 +691,7 @@ def main() -> int:
             "page_size": cfg.ssd.page_size,
             "channels": cfg.ssd.channels,
             "memory_total_bytes": cfg.memory.total_bytes,
-            "pipeline_depth_optimized": cfg.pipeline_depth,
-            "pipeline_depth_baseline": 0,
+            "num_workers": cfg.num_workers,
         },
         "host": {
             "python": platform.python_version(),
@@ -733,7 +729,7 @@ def main() -> int:
             return 0
         path = Path(args.out)
         report = json.loads(path.read_text()) if path.exists() else {
-            "benchmark": "superstep hot path: batch kernels + group prefetch pipeline",
+            "benchmark": "superstep hot path: batch vs scalar kernels",
         }
         report["smoke"] = section
         path.write_text(json.dumps(report, indent=2) + "\n")
@@ -745,7 +741,7 @@ def main() -> int:
     report = json.loads(path.read_text()) if path.exists() else {}
     report.update(
         {
-            "benchmark": "superstep hot path: batch kernels + group prefetch pipeline",
+            "benchmark": "superstep hot path: batch vs scalar kernels",
             **section,
         }
     )

@@ -36,7 +36,13 @@ Checks, in order:
    counters (ops/serial_us/array_us/saved_us) that never decrease
    within a run segment -- the array's overlay clocks accumulate for
    the run's lifetime, so a drop means overlay state was silently
-   reset.
+   reset;
+10. interval groups commit in canonical order: after a ``group_plan``
+    announcing ``n_groups``, the ``group_load`` indices run 0, 1, ...
+    and reach ``n_groups - 1`` by the superstep's ``superstep_end``;
+    every ``group_sort``, ``group_process`` and ``edgelog_decisions``
+    event carries the index of the latest ``group_load``.  A trace
+    that ends mid-superstep (a simulated crash) may stop short.
 
 Any violation prints the offending line number and exits non-zero.
 
@@ -95,6 +101,9 @@ DEVICE_COUNTERS = ("ops", "serial_us", "array_us", "saved_us")
 #: ``device_stats`` placements the device array emits.
 DEVICE_PLACEMENTS = ("stripe", "affinity")
 
+#: Per-group events that must name the latest ``group_load``'s group.
+GROUP_EVENTS = ("group_sort", "group_process", "edgelog_decisions")
+
 
 def validate_file(path: Path) -> list:
     """Return a list of violation strings for one trace file."""
@@ -105,6 +114,8 @@ def validate_file(path: Path) -> list:
     last_io_plan = None
     last_device = None
     last_seq = None
+    n_groups = None  # announced by the open superstep's group_plan
+    last_group = None  # index of the latest group_load
     segment_start = 0
     n_events = 0
     n_segments = 0
@@ -147,6 +158,8 @@ def validate_file(path: Path) -> list:
             last_io_plan = None
             last_device = None
             last_seq = None
+            n_groups = None
+            last_group = None
             segment_start = lineno
             n_segments += 1
         if last_t is not None and t_us < last_t:
@@ -235,6 +248,40 @@ def validate_file(path: Path) -> list:
                         f"line {segment_start}"
                     )
             last_device = ev
+        if kind == "group_plan":
+            n_groups = ev.get("n_groups")
+            last_group = None
+            if not isinstance(n_groups, int) or isinstance(n_groups, bool) or n_groups < 0:
+                errors.append(
+                    f"{path}:{lineno}: group_plan 'n_groups' must be a "
+                    f"non-negative integer, got {n_groups!r}"
+                )
+                n_groups = None
+        if kind == "group_load":
+            expected = 0 if last_group is None else last_group + 1
+            group = ev.get("group")
+            if n_groups is None:
+                errors.append(f"{path}:{lineno}: group_load without a preceding group_plan")
+            elif group != expected or expected >= n_groups:
+                errors.append(
+                    f"{path}:{lineno}: group_load group={group!r} out of order "
+                    f"(expected {expected} of the {n_groups} groups planned)"
+                )
+            last_group = expected
+        if kind in GROUP_EVENTS and ev.get("group") != last_group:
+            errors.append(
+                f"{path}:{lineno}: {kind} group={ev.get('group')!r} does not match "
+                f"the latest group_load ({last_group!r})"
+            )
+        if kind == "superstep_end" and n_groups is not None:
+            loaded = 0 if last_group is None else last_group + 1
+            if loaded != n_groups:
+                errors.append(
+                    f"{path}:{lineno}: superstep ended after {loaded} group_load "
+                    f"event(s), but its group_plan announced {n_groups}"
+                )
+            n_groups = None
+            last_group = None
         if kind == "ingest_stats":
             if ev.get("phase") not in INGEST_PHASES:
                 errors.append(
