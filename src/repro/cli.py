@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .config import DEFAULT_CONFIG
+from .config import CACHE_POLICIES, DEFAULT_CONFIG, IO_PLAN_MODES, PLACEMENTS
 from .experiments import ALL_EXPERIMENTS
 from .experiments.common import ExperimentResult
 
@@ -210,9 +210,9 @@ def cmd_compute(args) -> int:
     from . import resume as repro_resume
     from . import run as repro_run
     from .config import small_test_config
-    from .errors import RecoveryError, SimulatedCrashError
-    from .options import EngineOptions
-    from .recovery import CheckpointData, CheckpointManager
+    from .errors import ConfigError, EngineError, RecoveryError, SimulatedCrashError
+    from .options import EngineOptions, resolve_options
+    from .recovery import CheckpointManager
     from .ssd.filesystem import SimFS
 
     all_engines = repro_engines()
@@ -227,14 +227,6 @@ def cmd_compute(args) -> int:
         capable = sorted(n for n, i in repro_engines().items() if i.supports_resume)
         print(
             f"engine {args.engine!r} does not support --resume-from "
-            f"(supported by: {', '.join(capable)})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.checkpoint_every and not caps.supports_checkpoint:
-        capable = sorted(n for n, i in repro_engines().items() if i.supports_checkpoint)
-        print(
-            f"engine {args.engine!r} does not support --checkpoint-every "
             f"(supported by: {', '.join(capable)})",
             file=sys.stderr,
         )
@@ -258,8 +250,31 @@ def cmd_compute(args) -> int:
         if not Path(args.updates).is_file():
             print(f"--updates file not found: {args.updates}", file=sys.stderr)
             return 2
-    cache_enabled = args.cache_policy != "none" or args.cache_bytes is not None
-    if args.io_plan == "coalesce+readahead" and not cache_enabled:
+    # The knob flags fold into the config here, through the same
+    # validate-and-fold as the engines'; the run gets the engine-level
+    # options only, since it runs on an fs built from the folded config.
+    options = EngineOptions(
+        checkpoint_every=args.checkpoint_every, checkpoint_mode=args.checkpoint_mode
+    )
+    base_cfg = small_test_config() if args.scale == "test" else DEFAULT_CONFIG
+    try:
+        _, cfg = resolve_options(
+            args.engine,
+            options.replace(
+                cache_policy=args.cache_policy,
+                cache_bytes=args.cache_bytes,
+                num_workers=args.workers,
+                io_plan=args.io_plan,
+                readahead_pages=args.readahead_pages,
+                num_devices=args.devices,
+                placement=args.placement,
+            ),
+            base_cfg,
+        )
+    except (ConfigError, EngineError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if args.io_plan == "coalesce+readahead" and cfg.cache_policy == "none":
         print(
             "--io-plan coalesce+readahead requires a page cache to prefetch "
             "into: add --cache-policy clock (or --cache-bytes)",
@@ -272,39 +287,10 @@ def cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.devices is not None and args.devices < 1:
-        print("--devices must be >= 1", file=sys.stderr)
-        return 2
-    if (args.devices is not None or args.placement is not None) and (
-        "num_devices" not in caps.options
-    ):
-        capable = sorted(n for n, i in all_engines.items() if "num_devices" in i.options)
-        print(
-            f"engine {args.engine!r} performs no simulated I/O, so --devices/"
-            f"--placement do not apply (supported by: {', '.join(capable)})",
-            file=sys.stderr,
-        )
-        return 2
 
     weighted = args.weighted or args.algorithm in _NEEDS_WEIGHTS
     graph = _compute_dataset(args.dataset, args.scale, weighted)
     program = _compute_program(args.algorithm, args)
-    cfg = small_test_config() if args.scale == "test" else DEFAULT_CONFIG
-    if args.cache_policy != "none" or args.cache_bytes is not None:
-        # --cache-bytes alone implies the (only) real policy, clock.
-        cfg = cfg.with_cache(policy="clock", cache_bytes=args.cache_bytes)
-    if args.workers is not None:
-        cfg = cfg.with_workers(args.workers)
-    if args.io_plan != "off":
-        cfg = cfg.with_io_plan(args.io_plan, readahead_pages=args.readahead_pages)
-    if args.devices is not None or args.placement is not None:
-        cfg = cfg.with_devices(args.devices, args.placement)
-    opt_kwargs = {}
-    if caps.supports_checkpoint:
-        opt_kwargs = dict(
-            checkpoint_every=args.checkpoint_every, checkpoint_mode=args.checkpoint_mode
-        )
-    options = EngineOptions(**opt_kwargs)
 
     if args.updates:
         return _compute_with_updates(args, graph, program, cfg, options)
@@ -427,7 +413,7 @@ def _compute_with_updates(args, graph, program, cfg, options) -> int:
 def cmd_ingest(args) -> int:
     from . import engines as repro_engines
     from .config import small_test_config
-    from .errors import GraphFormatError, SimulatedCrashError
+    from .errors import ConfigError, GraphFormatError, SimulatedCrashError
     from .obs import NULL_TRACER
     from .options import EngineOptions
     from .stream import EdgeDelta, StreamSession, random_delta
@@ -448,15 +434,19 @@ def cmd_ingest(args) -> int:
         print(f"--updates file not found: {args.updates}", file=sys.stderr)
         return 2
 
-    weighted = args.algorithm in _NEEDS_WEIGHTS
-    graph = _compute_dataset(args.dataset, args.scale, weighted)
-    program = _compute_program(args.algorithm, args)
     cfg = small_test_config() if args.scale == "test" else DEFAULT_CONFIG
-    if args.compact_threshold is not None or args.max_delta_fraction is not None:
+    try:
         cfg = cfg.with_stream(
             compact_threshold=args.compact_threshold,
             max_delta_fraction=args.max_delta_fraction,
         )
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+    weighted = args.algorithm in _NEEDS_WEIGHTS
+    graph = _compute_dataset(args.dataset, args.scale, weighted)
+    program = _compute_program(args.algorithm, args)
 
     tracer = None
     if args.trace:
@@ -691,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="simulated SSD device-array size (DESIGN.md §14; "
                            "results are identical at any N, only the device.* "
                            "overlay accounting changes; default: REPRO_DEVICES or 1)")
-    comp.add_argument("--placement", choices=("stripe", "affinity"), default=None,
+    comp.add_argument("--placement", choices=PLACEMENTS, default=None,
                       help="device-array placement policy (default: affinity; "
                            "only meaningful with --devices > 1)")
     comp.add_argument("--weighted", action="store_true",
@@ -707,18 +697,18 @@ def build_parser() -> argparse.ArgumentParser:
                            "(also after a simulated crash)")
     comp.add_argument("--resume-from", default=None, metavar="PATH",
                       help="resume from a checkpoint saved with --checkpoint-out")
-    comp.add_argument("--cache-policy", choices=("none", "clock"), default="none",
+    comp.add_argument("--cache-policy", choices=CACHE_POLICIES, default=None,
                       help="DRAM page cache between engine and SSD (default: none)")
     comp.add_argument("--cache-bytes", type=int, default=None, metavar="BYTES",
                       help="cache budget; implies --cache-policy clock "
                            "(default: the cache_fraction share of host DRAM)")
-    comp.add_argument("--io-plan", choices=("off", "coalesce", "coalesce+readahead"),
-                      default="off",
+    comp.add_argument("--io-plan", choices=IO_PLAN_MODES, default=None,
                       help="superstep I/O planner: off (per-path batches), coalesce "
                            "(extent reads + channel-balanced waves), or "
                            "coalesce+readahead (adds next-group prefetch; requires "
                            "--cache-policy clock).  Values are identical in every "
-                           "mode; only simulated storage time changes (default: off)")
+                           "mode; only simulated storage time changes "
+                           "(default: REPRO_IO_PLAN or off)")
     comp.add_argument("--readahead-pages", type=int, default=None, metavar="N",
                       help="per-superstep prefetch page budget; only valid with "
                            "--io-plan coalesce+readahead (default: 64)")

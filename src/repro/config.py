@@ -65,6 +65,9 @@ def _default_num_workers() -> int:
 #: Valid values for :attr:`SimConfig.io_plan`, in increasing ambition.
 IO_PLAN_MODES = ("off", "coalesce", "coalesce+readahead")
 
+#: Valid values for :attr:`SimConfig.cache_policy` (DESIGN.md §10).
+CACHE_POLICIES = ("none", "clock")
+
 #: Valid values for :attr:`SimConfig.placement` (DESIGN.md §14).
 #: ``"stripe"`` round-robins extent-sized page runs over the device
 #: array; ``"affinity"`` additionally pins interval logs (multi-log,
@@ -384,19 +387,19 @@ class SimConfig:
         if self.mutation_merge_threshold < 1:
             raise ConfigError("mutation_merge_threshold must be >= 1")
         if self.num_workers < 1:
-            raise ConfigError("num_workers must be >= 1")
-        if self.cache_policy not in ("none", "clock"):
+            raise ConfigError(f"num_workers must be >= 1, got {self.num_workers}")
+        if self.cache_policy not in CACHE_POLICIES:
             raise ConfigError(
-                f"cache_policy must be 'none' or 'clock', got {self.cache_policy!r}"
+                f"cache_policy must be one of {CACHE_POLICIES}, got {self.cache_policy!r}"
             )
         if self.cache_bytes is not None and self.cache_bytes < self.ssd.page_size:
-            raise ConfigError("cache_bytes must hold at least one SSD page")
+            raise ConfigError(f"cache_bytes must hold one SSD page, got {self.cache_bytes}")
         if self.io_plan not in IO_PLAN_MODES:
             raise ConfigError(
                 f"io_plan must be one of {IO_PLAN_MODES}, got {self.io_plan!r}"
             )
         if self.readahead_pages < 0:
-            raise ConfigError("readahead_pages must be non-negative")
+            raise ConfigError(f"readahead_pages must be non-negative, got {self.readahead_pages}")
         if self.num_devices < 1:
             raise ConfigError(f"num_devices must be >= 1, got {self.num_devices}")
         if self.placement not in PLACEMENTS:
@@ -410,9 +413,9 @@ class SimConfig:
         if self.memory.sort_bytes < self.records.update_bytes:
             raise ConfigError("sort budget cannot hold a single update record")
         if not 0.0 < self.stream_compact_threshold <= 1.0:
-            raise ConfigError("stream_compact_threshold must be in (0, 1]")
+            raise ConfigError(f"stream_compact_threshold must be in (0, 1], got {self.stream_compact_threshold}")
         if not 0.0 <= self.stream_max_delta_fraction <= 1.0:
-            raise ConfigError("stream_max_delta_fraction must be in [0, 1]")
+            raise ConfigError(f"stream_max_delta_fraction must be in [0, 1], got {self.stream_max_delta_fraction}")
 
     # -- convenience constructors -------------------------------------
 

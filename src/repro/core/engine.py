@@ -37,7 +37,7 @@ from ..mem.budget import MemoryBudget
 from ..obs.context import current_tracer
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import Tracer
-from ..options import _UNSET, EngineOptions, apply_config_options, resolve_options
+from ..options import EngineOptions, resolve_options
 from ..recovery.checkpoint import CheckpointData, CheckpointManager
 from ..ssd.filesystem import SimFS
 from .active import ActiveTracker
@@ -81,8 +81,8 @@ class MultiLogVC:
     fs:
         Optional existing simulated file system (a fresh one otherwise).
     options:
-        Consolidated :class:`~repro.options.EngineOptions` (mode,
-        enable_edgelog, enable_fusing, min_intervals, intervals).
+        Consolidated :class:`~repro.options.EngineOptions`; its
+        config-level knobs are folded into ``config``.
     tracer:
         Observability event sink; defaults to the ambient tracer (the
         null tracer unless :func:`repro.obs.use_tracer` is active).
@@ -91,9 +91,6 @@ class MultiLogVC:
         register their counters/gauges into.
     progress:
         Called with each completed :class:`SuperstepRecord`.
-    mode, enable_edgelog, enable_fusing, min_intervals, intervals:
-        Removed in API v1; passing one raises
-        :class:`~repro.errors.EngineError` with a migration hint.
     """
 
     name = "multilogvc"
@@ -104,27 +101,13 @@ class MultiLogVC:
         program: VertexProgram,
         config: SimConfig = DEFAULT_CONFIG,
         fs: Optional[SimFS] = None,
-        mode=_UNSET,
-        enable_edgelog=_UNSET,
-        enable_fusing=_UNSET,
-        min_intervals=_UNSET,
-        intervals=_UNSET,
         *,
         options: Optional[EngineOptions] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
-        options = resolve_options(
-            self.name,
-            options,
-            fs=fs,
-            mode=mode,
-            enable_edgelog=enable_edgelog,
-            enable_fusing=enable_fusing,
-            min_intervals=min_intervals,
-            intervals=intervals,
-        )
+        options, config = resolve_options(self.name, options, config, fs=fs)
         if program.uses_edge_state and program.needs_weights:
             raise ProgramError(
                 "uses_edge_state and needs_weights are mutually exclusive: "
@@ -132,7 +115,6 @@ class MultiLogVC:
             )
         if program.uses_edge_state and program.mutates_structure:
             raise ProgramError("edge state plus structural mutation is not supported")
-        config = apply_config_options(config, options)
         self.graph = graph
         self.program = program
         self.config = config

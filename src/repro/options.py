@@ -13,29 +13,22 @@ call::
 
 Each engine validates that the non-default options it received actually
 apply to it (asking GraphChi for ``adapted=True`` is an error, not a
-silent no-op).  The old per-engine keyword arguments were deprecated in
-the options consolidation and are **removed** as of API v1: passing one
-raises :class:`~repro.errors.EngineError` with a migration hint (see
-README "v1 API migration").
+silent no-op) and folds the config-level knobs into its
+:class:`~repro.config.SimConfig` with one :func:`resolve_options` call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
-from .config import IO_PLAN_MODES, PLACEMENTS
+from .config import SimConfig
 from .errors import EngineError
 
 if TYPE_CHECKING:  # circular-import guard; only for annotations
-    from .config import SimConfig
     from .graph.partition import VertexIntervals
     from .ssd.filesystem import SimFS
-
-#: Sentinel distinguishing "not passed" from an explicit value in the
-#: deprecated per-engine keyword arguments.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -74,42 +67,12 @@ class EngineOptions:
         ``"full"`` (default) snapshots the whole value vector each
         time; ``"incremental"`` stores value deltas against the
         previous checkpoint (resolved back to a full baseline at load).
-    cache_policy:
-        DRAM page-cache policy between the engine and the simulated
-        SSD: ``None`` (default) keeps the config's setting, ``"none"``
-        forces the cache off, ``"clock"`` enables it (DESIGN.md §10).
-        Applies to every engine -- the cache lives in the shared file
-        layer, not in any one engine.
-    cache_bytes:
-        Explicit cache budget in bytes; defaults to the config's
-        ``memory.cache_bytes_default`` when the cache is enabled.
-    num_workers:
-        Worker threads for MultiLogVC's deterministic parallel interval
-        executor (DESIGN.md §11).  ``None`` (default) inherits the
-        config's ``num_workers``; results are bit-identical at any
-        count.
-    io_plan:
-        Superstep I/O planner mode (DESIGN.md §13): ``None`` (default)
-        inherits the config's ``io_plan``; ``"off"`` forces the seed's
-        per-path batches; ``"coalesce"`` enables extent coalescing and
-        channel-balanced dispatch waves; ``"coalesce+readahead"``
-        additionally prefetches the predicted next group's pages into
-        the CLOCK page cache (no-op without a cache).  Values and
-        records are bit-identical in every mode.
-    readahead_pages:
-        Per-superstep page budget for the planner's read-ahead;
-        ``None`` inherits the config's ``readahead_pages``.
-    num_devices:
-        Size of the simulated SSD device array (DESIGN.md §14).
-        ``None`` (default) inherits the config's ``num_devices``;
-        values, records and semantic traces are bit-identical at any
-        count -- only the ``device.*`` overlay accounting changes.
-    placement:
-        Device-array placement policy: ``None`` (default) inherits the
-        config's ``placement``; ``"stripe"`` round-robins
-        channel-intersperse cycles across devices; ``"affinity"``
-        additionally pins interval-affine logs whole to
-        ``interval % num_devices``.
+    cache_policy, cache_bytes, num_workers, io_plan, readahead_pages, num_devices, placement:
+        Config-level knobs (:data:`CONFIG_OPTIONS`): each overrides the
+        :class:`~repro.config.SimConfig` field of the same name, which
+        documents and checks its domain; ``None`` (default) keeps the
+        config's value.  A bare ``cache_bytes`` implies
+        ``cache_policy="clock"``.
     recompute:
         Streaming-update recompute policy (DESIGN.md §12), consumed by
         :class:`~repro.stream.StreamSession` -- not by the engines
@@ -155,9 +118,11 @@ class EngineOptions:
         """Reject non-default options the named engine does not consume.
 
         ``fs`` is the explicit file system handed to the engine, if any:
-        the page cache is constructed by :class:`~repro.ssd.SimFS` from
-        its config, so cache knobs combined with an explicit ``fs``
-        would be silently ignored -- that combination is an error here.
+        :class:`~repro.ssd.SimFS` builds the page cache and the device
+        array from its config, so file-layer knobs combined with an
+        explicit ``fs`` would be silently ignored -- that combination is
+        an error here.  Config-level values are checked where they are
+        folded (:func:`apply_config_options`), by ``SimConfig.validate``.
         """
         relevant = RELEVANT_OPTIONS.get(engine)
         if relevant is None:
@@ -176,15 +141,11 @@ class EngineOptions:
                 f"option(s) {', '.join(stray)} do not apply to engine {engine!r} "
                 f"(it honours: {', '.join(sorted(relevant)) or 'none'})"
             )
-        if fs is not None and (self.cache_policy is not None or self.cache_bytes is not None):
+        pinned = sorted(n for n in _FILE_LAYER_OPTIONS if getattr(self, n) is not None)
+        if fs is not None and pinned:
             raise EngineError(
-                "cache_policy/cache_bytes cannot be combined with an explicit fs; "
-                "enable the cache on the SimConfig the fs was built from instead"
-            )
-        if fs is not None and (self.num_devices is not None or self.placement is not None):
-            raise EngineError(
-                "num_devices/placement cannot be combined with an explicit fs; "
-                "the device array is constructed by SimFS from its config -- set "
+                f"option(s) {', '.join(pinned)} cannot be combined with an explicit fs; "
+                "SimFS builds the page cache and device array from its config -- set "
                 "them on the SimConfig the fs was built from instead"
             )
         if self.mode not in ("sync", "async"):
@@ -201,46 +162,24 @@ class EngineOptions:
             raise EngineError(
                 f"checkpoint_mode must be 'full' or 'incremental', got {self.checkpoint_mode!r}"
             )
-        if self.cache_policy not in (None, "none", "clock"):
-            raise EngineError(
-                f"cache_policy must be 'none' or 'clock', got {self.cache_policy!r}"
-            )
-        if self.cache_bytes is not None and self.cache_bytes <= 0:
-            raise EngineError("cache_bytes must be positive")
-        if self.num_workers is not None and self.num_workers < 1:
-            raise EngineError("num_workers must be >= 1")
-        if self.io_plan is not None and self.io_plan not in IO_PLAN_MODES:
-            raise EngineError(
-                f"io_plan must be one of {IO_PLAN_MODES}, got {self.io_plan!r}"
-            )
-        if self.readahead_pages is not None and self.readahead_pages < 0:
-            raise EngineError("readahead_pages must be non-negative")
-        if self.num_devices is not None and self.num_devices < 1:
-            raise EngineError("num_devices must be >= 1")
-        if self.placement is not None and self.placement not in PLACEMENTS:
-            raise EngineError(
-                f"placement must be one of {PLACEMENTS}, got {self.placement!r}"
-            )
         if self.recompute not in ("auto", "incremental", "full"):
             raise EngineError(
                 f"recompute must be 'auto', 'incremental' or 'full', got {self.recompute!r}"
             )
 
 
-#: The page cache lives in the shared SSD file layer, so its knobs
-#: apply to every out-of-core engine.  The in-memory oracle performs no
-#: simulated I/O and is excluded.
-_CACHE_OPTIONS = frozenset({"cache_policy", "cache_bytes"})
+#: Config-level knobs: the :class:`EngineOptions` fields that override
+#: the :class:`~repro.config.SimConfig` field of the same name.  Found by
+#: name, so each knob is declared (and checked) once, on ``SimConfig``.
+CONFIG_OPTIONS: FrozenSet[str] = frozenset(
+    f.name for f in dataclasses.fields(EngineOptions)
+) & frozenset(f.name for f in dataclasses.fields(SimConfig))
 
-#: The superstep I/O planner (DESIGN.md §13) is wired through the
-#: MultiLogVC read paths only; the comparison engines keep the seed's
-#: per-path batches.
-_IO_PLAN_OPTIONS = frozenset({"io_plan", "readahead_pages"})
-
-#: The device array (DESIGN.md §14) lives below the file layer, so like
-#: the cache its knobs apply to every out-of-core engine; the in-memory
-#: oracle performs no simulated I/O and is excluded.
-_DEVICE_OPTIONS = frozenset({"num_devices", "placement"})
+#: The page cache and the device array live in the shared SSD file
+#: layer, so every out-of-core engine honours their knobs; the in-memory
+#: oracle performs no simulated I/O and honours none.  The planner and
+#: worker knobs are wired through MultiLogVC only.
+_FILE_LAYER_OPTIONS = frozenset({"cache_policy", "cache_bytes", "num_devices", "placement"})
 
 #: Which :class:`EngineOptions` fields each engine consumes.
 RELEVANT_OPTIONS: Dict[str, FrozenSet[str]] = {
@@ -253,68 +192,45 @@ RELEVANT_OPTIONS: Dict[str, FrozenSet[str]] = {
             "intervals",
             "checkpoint_every",
             "checkpoint_mode",
-            "num_workers",
         }
     )
-    | _CACHE_OPTIONS
-    | _IO_PLAN_OPTIONS
-    | _DEVICE_OPTIONS,
-    "graphchi": _CACHE_OPTIONS | _DEVICE_OPTIONS,
+    | CONFIG_OPTIONS,
+    "graphchi": _FILE_LAYER_OPTIONS,
     # The in-memory golden oracle (repro.verify) has no tuning knobs.
     "oracle": frozenset(),
-    "grafboost": frozenset({"adapted", "merge_fanout"}) | _CACHE_OPTIONS | _DEVICE_OPTIONS,
-    "gridgraph": frozenset({"intervals", "grid_p"}) | _CACHE_OPTIONS | _DEVICE_OPTIONS,
-    "xstream": frozenset({"intervals", "grid_p"}) | _CACHE_OPTIONS | _DEVICE_OPTIONS,
+    "grafboost": frozenset({"adapted", "merge_fanout"}) | _FILE_LAYER_OPTIONS,
+    "gridgraph": frozenset({"intervals", "grid_p"}) | _FILE_LAYER_OPTIONS,
+    "xstream": frozenset({"intervals", "grid_p"}) | _FILE_LAYER_OPTIONS,
 }
 
 
-def apply_config_options(config: "SimConfig", options: EngineOptions) -> "SimConfig":
-    """Fold the options' config-level knobs (cache, workers, planner,
-    devices) into ``config``.
+def apply_config_options(config: SimConfig, options: EngineOptions) -> SimConfig:
+    """Fold the options' config-level knobs into ``config``.
 
-    Only folds: the fs-conflict check lives in
-    :meth:`EngineOptions.validate_for`, which every engine runs via
-    :func:`resolve_options` before calling this.
+    Each non-``None`` :data:`CONFIG_OPTIONS` field replaces the config
+    field of the same name and nothing else; a bare ``cache_bytes``
+    implies ``cache_policy="clock"``, the only real policy.  The result
+    is checked by ``SimConfig.validate``, so a bad value raises
+    :class:`~repro.errors.ConfigError` here.
     """
-    if options.cache_policy is not None or options.cache_bytes is not None:
-        policy = options.cache_policy if options.cache_policy is not None else "clock"
-        config = config.with_cache(policy=policy, cache_bytes=options.cache_bytes)
-    if options.num_workers is not None:
-        config = config.with_workers(options.num_workers)
-    if options.io_plan is not None or options.readahead_pages is not None:
-        config = config.with_io_plan(
-            options.io_plan if options.io_plan is not None else config.io_plan,
-            readahead_pages=options.readahead_pages,
-        )
-    if options.num_devices is not None or options.placement is not None:
-        config = config.with_devices(options.num_devices, options.placement)
-    return config
+    overrides = {n: getattr(options, n) for n in CONFIG_OPTIONS if getattr(options, n) is not None}
+    if "cache_bytes" in overrides:
+        overrides.setdefault("cache_policy", "clock")
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def resolve_options(
     engine: str,
     options: Optional[EngineOptions],
+    config: SimConfig,
     fs: Optional["SimFS"] = None,
-    **legacy,
-) -> EngineOptions:
-    """Validate (and default) the options object for ``engine``.
+) -> Tuple[EngineOptions, SimConfig]:
+    """Validate (and default) ``options`` for ``engine`` and fold them into ``config``.
 
-    ``legacy`` catches the pre-v1 per-engine keyword arguments
-    (``mode=``, ``enable_edgelog=``, ``adapted=``, ...).  They were
-    deprecated when :class:`EngineOptions` consolidated the knobs and
-    are removed as of API v1: passing any real value (anything but the
-    :data:`_UNSET` sentinel) raises :class:`~repro.errors.EngineError`
-    with a migration hint.
+    The one call every engine constructor makes; returns the options and
+    the config the engine runs with.
     """
-    passed = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if passed:
-        ks = sorted(passed)
-        raise EngineError(
-            f"per-engine keyword argument(s) {', '.join(ks)} were removed in "
-            f"API v1; pass options=EngineOptions({', '.join(f'{k}=...' for k in ks)}) "
-            f"instead (or use repro.run(..., options=...))"
-        )
     if options is None:
         options = EngineOptions()
     options.validate_for(engine, fs=fs)
-    return options
+    return options, apply_config_options(config, options)

@@ -35,7 +35,7 @@ from .core.results import RunResult, SuperstepRecord
 from .errors import EngineError
 from .graph.csr import CSRGraph
 from .obs import MetricsRegistry, Tracer
-from .options import _CACHE_OPTIONS, RELEVANT_OPTIONS, EngineOptions
+from .options import _FILE_LAYER_OPTIONS, RELEVANT_OPTIONS, EngineOptions
 from .recovery.checkpoint import CheckpointData
 from .ssd.filesystem import SimFS
 from .verify.oracle import OracleEngine
@@ -101,9 +101,10 @@ def engines() -> Dict[str, EngineInfo]:
             options=relevant,
             supports_resume="resume_from" in inspect.signature(cls.run).parameters,
             supports_checkpoint="checkpoint_every" in relevant,
-            # The page cache lives in the shared SSD file layer; an
-            # engine that honours no cache knob never touches it.
-            in_memory=not (relevant & _CACHE_OPTIONS),
+            # The page cache and device array live in the shared SSD
+            # file layer; an engine that honours none of their knobs
+            # never touches it.
+            in_memory=not (relevant & _FILE_LAYER_OPTIONS),
             supports_warm_start="initial_state" in inspect.signature(cls.run).parameters,
         )
     return out

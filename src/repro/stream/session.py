@@ -46,7 +46,7 @@ from ..errors import EngineError
 from ..graph.csr import CSRGraph
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..options import EngineOptions
+from ..options import EngineOptions, resolve_options
 from ..runner import engines, run as run_engine
 from ..ssd.filesystem import SimFS
 from .delta import EdgeDelta
@@ -150,20 +150,23 @@ class StreamSession:
             raise EngineError(f"unknown engine {engine!r}; choose from {sorted(engines())}")
         self.program = program
         self.engine = engine
-        self.config = config
         self.options = options if options is not None else EngineOptions()
-        # The recompute policy is the session's; engines reject it.
-        self._engine_options = self.options.replace(recompute="auto")
-        self._engine_options.validate_for(engine)
+        # The recompute policy is the session's; engines reject it.  The
+        # config-level knobs fold into the config the store's SSD is
+        # built from, so the store runs on the same cache and device
+        # array as every recompute.
+        self._engine_options, self.config = resolve_options(
+            engine, self.options.replace(recompute="auto"), config, fs=fs
+        )
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: The session's SSD: holds the store's logs and shards for the
         #: session's whole lifetime.  Tests install fault plans on
         #: ``fs.device`` to cut power mid-ingest or mid-merge.
-        self.fs = fs if fs is not None else SimFS(config)
+        self.fs = fs if fs is not None else SimFS(self.config)
         self._begin("store_init")
         self.store = StreamStore(
-            graph, self.fs, config, tracer=tracer, metrics=self.metrics
+            graph, self.fs, self.config, tracer=tracer, metrics=self.metrics
         )
         self._end()
         # Converged values from the last recompute and the graph they

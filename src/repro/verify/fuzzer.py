@@ -28,13 +28,14 @@ than hiding bugs:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .. import algorithms as alg
-from ..config import MemoryConfig, SimConfig, SSDConfig
+from ..config import IO_PLAN_MODES, PLACEMENTS, MemoryConfig, SimConfig, SSDConfig
 from ..core.results import RunResult
 from ..errors import ConfigError, RecoveryError, SimulatedCrashError
 from ..graph.csr import CSRGraph
@@ -233,20 +234,38 @@ def build_program(case: ConformanceCase):
     return _PROGRAM_FACTORIES[case.program](case.prog_params)
 
 
-#: Keys a case's config dict may carry (see :func:`build_config`).
-CONFIG_KEYS = frozenset({
-    "page_size", "channels", "total_bytes", "num_workers", "cache_policy",
-    "cache_bytes", "io_plan", "readahead_pages", "num_devices", "placement",
-    "stream_compact_threshold",
-})
+#: What an absent config key means: the test-sized device and budget,
+#: with the env-sensitive defaults pinned, never read from ``REPRO_*``.
+_CASE_BASE = SimConfig(
+    ssd=SSDConfig(channels=4),
+    memory=MemoryConfig(total_bytes=256 * 1024),
+    num_workers=1,
+    io_plan="off",
+    num_devices=1,
+)
+
+#: The config sections whose fields a case names by their bare names
+#: (``page_size`` is ``ssd.page_size``); field names are unique across
+#: the sections and the top level.
+_SECTIONS = ("ssd", "memory", "records", "compute")
+_SECTION_OF = {
+    f.name: section
+    for section in _SECTIONS
+    for f in dataclasses.fields(getattr(_CASE_BASE, section))
+}
+
+#: Keys a case's config dict may carry: every ``SimConfig`` field.
+CONFIG_KEYS = frozenset(_SECTION_OF) | frozenset(
+    f.name for f in dataclasses.fields(SimConfig) if f.name not in _SECTIONS
+)
 
 
 def build_config(cdict: Dict[str, Any]) -> SimConfig:
     """The :class:`SimConfig` a case's config dict describes.
 
-    Absent keys take fixed defaults, never the ``REPRO_*`` environment.
-    An unknown key raises :class:`~repro.errors.ConfigError`, so a
-    stale case fails loudly instead of running another configuration.
+    Absent keys keep :data:`_CASE_BASE`'s values.  An unknown key raises
+    :class:`~repro.errors.ConfigError`, so a stale case fails loudly
+    instead of running another configuration.
     """
     unknown = sorted(set(cdict) - CONFIG_KEYS)
     if unknown:
@@ -254,24 +273,11 @@ def build_config(cdict: Dict[str, Any]) -> SimConfig:
             f"unknown config key(s) {', '.join(unknown)}; "
             f"known: {', '.join(sorted(CONFIG_KEYS))}"
         )
-    cache_bytes = cdict.get("cache_bytes")
-    cfg = SimConfig(
-        ssd=SSDConfig(
-            page_size=int(cdict.get("page_size", 4096)),
-            channels=int(cdict.get("channels", 4)),
-        ),
-        memory=MemoryConfig(total_bytes=int(cdict.get("total_bytes", 256 * 1024))),
-        num_workers=int(cdict.get("num_workers", 1)),
-        cache_policy=str(cdict.get("cache_policy", "none")),
-        cache_bytes=None if cache_bytes is None else int(cache_bytes),
-        io_plan=str(cdict.get("io_plan", "off")),
-        readahead_pages=int(cdict.get("readahead_pages", 64)),
-        num_devices=int(cdict.get("num_devices", 1)),
-        placement=str(cdict.get("placement", "affinity")),
-    )
-    if "stream_compact_threshold" in cdict:
-        cfg = cfg.with_stream(compact_threshold=float(cdict["stream_compact_threshold"]))
-    return cfg
+    changes: Dict[str, Any] = {k: v for k, v in cdict.items() if k not in _SECTION_OF}
+    for section in {_SECTION_OF[k] for k in cdict if k in _SECTION_OF}:
+        sub = {k: v for k, v in cdict.items() if _SECTION_OF.get(k) == section}
+        changes[section] = dataclasses.replace(getattr(_CASE_BASE, section), **sub)
+    return dataclasses.replace(_CASE_BASE, **changes)
 
 
 def build_options(case: ConformanceCase) -> Optional[EngineOptions]:
@@ -482,7 +488,7 @@ def _config_dict(rng: np.random.Generator) -> Dict[str, Any]:
     # did not fire (the planner needs a cache to prefetch into), which
     # is itself a documented behaviour worth fuzzing.
     if int(rng.integers(0, 3)) == 0:
-        cdict["io_plan"] = str(rng.choice(["coalesce", "coalesce+readahead"]))
+        cdict["io_plan"] = str(rng.choice([m for m in IO_PLAN_MODES if m != "off"]))
         cdict["readahead_pages"] = int(rng.integers(1, 65))
     # Device-array dimension (DESIGN.md §14): a third of cases run on a
     # multi-SSD array; canonical accounting is untouched by design, so
@@ -490,7 +496,7 @@ def _config_dict(rng: np.random.Generator) -> Dict[str, Any]:
     # (including device counts that do not divide the page count).
     if int(rng.integers(0, 3)) == 0:
         cdict["num_devices"] = int(rng.choice([2, 3, 4]))
-        cdict["placement"] = str(rng.choice(["stripe", "affinity"]))
+        cdict["placement"] = str(rng.choice(PLACEMENTS))
     return cdict
 
 

@@ -111,7 +111,7 @@ class OracleEngine:
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[SuperstepRecord], None]] = None,
     ) -> None:
-        self.options = resolve_options(self.name, options)
+        self.options, config = resolve_options(self.name, options, config)
         if program.mutates_structure:
             raise ProgramError(
                 "the oracle engine does not support structure-mutating programs"

@@ -133,3 +133,30 @@ class TestComputeIOPlanKnobs:
                    "--io-plan", "coalesce+readahead", "--readahead-pages", "8",
                    "--max-supersteps", "4"])
         assert rc == 0
+
+
+class TestKnobFlagErrors:
+    """Out-of-range or inapplicable knob flags exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "pagerank", "--engine", "graphchi", "--workers", "4"],
+             "num_workers do not apply to engine 'graphchi'"),
+            (["compute", "pagerank", "--workers", "0"], "num_workers must be >= 1"),
+            (["compute", "pagerank", "--cache-bytes", "10"], "cache_bytes must hold one SSD page"),
+            (["compute", "pagerank", "--readahead-pages", "-3"],
+             "readahead_pages must be non-negative"),
+            (["compute", "pagerank", "--devices", "0"], "num_devices must be >= 1"),
+            (["compute", "pagerank", "--engine", "graphchi", "--checkpoint-every", "2"],
+             "checkpoint_every do not apply to engine 'graphchi'"),
+            (["ingest", "wcc", "--random", "4", "--compact-threshold", "2"],
+             "stream_compact_threshold must be in (0, 1]"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""

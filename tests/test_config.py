@@ -14,6 +14,7 @@ from repro.config import (
     small_test_config,
 )
 from repro.errors import ConfigError
+from repro.options import CONFIG_OPTIONS, EngineOptions, apply_config_options
 
 
 class TestSSDConfig:
@@ -168,3 +169,41 @@ class TestSimConfig:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             DEFAULT_CONFIG.edgelog_history_window = 3
+
+
+class TestConfigOptionsFold:
+    """``EngineOptions`` config-level knobs fold into ``SimConfig`` by name."""
+
+    def test_config_options_are_the_shared_field_names(self):
+        assert CONFIG_OPTIONS == {
+            "cache_policy", "cache_bytes", "num_workers", "io_plan",
+            "readahead_pages", "num_devices", "placement",
+        }
+
+    def test_override_changes_only_the_field_it_names(self):
+        base = small_test_config().with_cache("clock", cache_bytes=8 * 4096)
+        cfg = apply_config_options(base, EngineOptions(cache_policy="clock", num_devices=2))
+        assert cfg == dataclasses.replace(base, num_devices=2)
+        assert apply_config_options(base, EngineOptions()) is base
+
+    def test_bare_cache_bytes_implies_clock(self):
+        cfg = apply_config_options(small_test_config(), EngineOptions(cache_bytes=8 * 4096))
+        assert (cfg.cache_policy, cfg.cache_bytes) == ("clock", 8 * 4096)
+
+    @pytest.mark.parametrize(
+        "knob, bad",
+        [
+            ("cache_policy", "lru"),
+            ("cache_bytes", 10),
+            ("num_workers", 0),
+            ("io_plan", "sideways"),
+            ("readahead_pages", -3),
+            ("num_devices", 0),
+            ("placement", "raid5"),
+        ],
+    )
+    def test_bad_value_raises_config_error_at_the_fold(self, knob, bad):
+        opts = EngineOptions(**{knob: bad})
+        opts.validate_for("multilogvc")  # no range check there
+        with pytest.raises(ConfigError, match=knob):
+            apply_config_options(small_test_config(), opts)

@@ -21,7 +21,7 @@ from repro.errors import EngineError, InjectedFaultError, StorageError
 from repro.graph.datasets import small_rmat
 from repro.graph.csr import CSRGraph
 from repro.obs import TraceRecorder
-from repro.options import EngineOptions
+from repro.options import EngineOptions, apply_config_options
 from repro.recovery import CheckpointManager
 from repro.recovery.validate import count_device_ops, crash_resume_experiment
 from repro.ssd import DeviceArray, SimFS, SimulatedSSD
@@ -353,10 +353,10 @@ class TestKnobs:
         assert SimConfig().num_devices == 1
 
     def test_options_range_checks(self):
-        with pytest.raises(EngineError, match="num_devices"):
-            EngineOptions(num_devices=0).validate_for("multilogvc")
-        with pytest.raises(EngineError, match="placement"):
-            EngineOptions(placement="raid5").validate_for("multilogvc")
+        with pytest.raises(ConfigError, match="num_devices"):
+            apply_config_options(small_test_config(), EngineOptions(num_devices=0))
+        with pytest.raises(ConfigError, match="placement"):
+            apply_config_options(small_test_config(), EngineOptions(placement="raid5"))
 
     def test_options_conflict_with_explicit_fs(self):
         fs = SimFS(small_test_config())
@@ -380,11 +380,11 @@ class TestKnobs:
 class TestCLI:
     def test_devices_zero_rejected(self, capsys):
         assert cli_main(["compute", "pagerank", "--devices", "0"]) == 2
-        assert "--devices must be >= 1" in capsys.readouterr().err
+        assert "num_devices must be >= 1" in capsys.readouterr().err
 
     def test_devices_conflict_with_oracle(self, capsys):
         assert cli_main(["compute", "pagerank", "--engine", "oracle", "--devices", "2"]) == 2
-        assert "no simulated I/O" in capsys.readouterr().err
+        assert "num_devices do not apply" in capsys.readouterr().err
 
     def test_placement_alone_also_conflicts_with_oracle(self, capsys):
         assert (

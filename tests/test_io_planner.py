@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro import EngineOptions
+from repro.options import apply_config_options
 from repro.algorithms import DeltaPageRankProgram
 from repro.config import SimConfig, small_test_config
 from repro.errors import ConfigError, StorageError
@@ -267,8 +268,8 @@ class TestKnobs:
     def test_options_fold_into_config(self):
         opts = EngineOptions(io_plan="coalesce", readahead_pages=16)
         opts.validate_for("multilogvc")
-        with pytest.raises(Exception):
-            EngineOptions(io_plan="sideways").validate_for("multilogvc")
+        with pytest.raises(ConfigError, match="io_plan"):
+            apply_config_options(small_test_config(), EngineOptions(io_plan="sideways"))
 
 
 # -- end-to-end equivalence --------------------------------------------------

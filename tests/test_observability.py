@@ -9,9 +9,8 @@ Three contracts are pinned here:
    carry the same fields as ``RunResult.supersteps``, event-for-record,
    and traces are bit-identical at any worker count.
 3. **Facade equivalence** -- ``repro.run()`` returns the same result as
-   direct engine construction, while consolidating the old divergent
-   constructor kwargs into :class:`EngineOptions` (deprecated kwargs
-   still work, with a warning).
+   direct engine construction, with every engine knob passed through
+   one :class:`EngineOptions`.
 """
 
 import json
@@ -231,20 +230,6 @@ class TestEngineOptions:
             GraphChi(rmat256, pagerank(), cfg, options=EngineOptions(adapted=True))
         with pytest.raises(EngineError, match="do not apply"):
             MultiLogVC(rmat256, pagerank(), cfg, options=EngineOptions(merge_fanout=8))
-
-    def test_legacy_kwargs_removed(self, cfg, rmat256):
-        # The pre-v1 per-engine keyword arguments no longer work; the
-        # error names the offending kwargs and the EngineOptions path.
-        with pytest.raises(EngineError, match="removed in"):
-            MultiLogVC(rmat256, pagerank(), cfg, enable_edgelog=False)
-        with pytest.raises(EngineError, match="enable_edgelog=..."):
-            MultiLogVC(rmat256, pagerank(), cfg, enable_edgelog=False)
-
-    def test_legacy_plus_options_rejected(self, cfg, rmat256):
-        with pytest.raises(EngineError, match="removed in"):
-            MultiLogVC(
-                rmat256, pagerank(), cfg, mode="async", options=EngineOptions()
-            )
 
     def test_bad_mode_rejected(self):
         with pytest.raises(EngineError, match="mode"):

@@ -18,7 +18,7 @@ from repro.core.scheduler import OverlapModel, ParallelGroupScheduler
 from repro.graph.datasets import small_rmat
 from repro.graph.partition import VertexIntervals
 from repro.obs import TraceRecorder
-from repro.options import RELEVANT_OPTIONS, EngineOptions
+from repro.options import RELEVANT_OPTIONS, EngineOptions, apply_config_options
 from repro.recovery.validate import count_device_ops, crash_resume_experiment
 from repro.ssd.device import SimulatedSSD, merge_overlap
 
@@ -200,8 +200,8 @@ class TestNumWorkersKnob:
         assert res.metrics["scheduler.workers"] == 2
 
     def test_option_validation(self):
-        with pytest.raises(EngineError, match="num_workers"):
-            EngineOptions(num_workers=0).validate_for("multilogvc")
+        with pytest.raises(ConfigError, match="num_workers"):
+            apply_config_options(small_test_config(), EngineOptions(num_workers=0))
         with pytest.raises(EngineError, match="do not apply"):
             EngineOptions(num_workers=2).validate_for("graphchi")
 

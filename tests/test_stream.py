@@ -16,7 +16,8 @@ from repro.config import DEFAULT_CONFIG
 from repro.errors import EngineError, GraphFormatError, SimulatedCrashError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import small_chain, small_rmat
-from repro.ssd import FaultPlan
+from repro.options import EngineOptions
+from repro.ssd import DeviceArray, FaultPlan
 from repro.ssd.filesystem import SimFS
 from repro.stream import EdgeDelta, StreamSession, StreamStore, random_delta
 from repro.stream.delta import OP_ADD, OP_DELETE
@@ -311,3 +312,20 @@ class TestStreamSession:
         r = sess.recompute(max_supersteps=200, mode="incremental")
         assert r.mode == "incremental"
         assert r.seed_io_us == 0.0
+
+    def test_options_fold_into_the_store_ssd(self):
+        # The store's SSD is built from the same folded config as every
+        # recompute, so config-level options reach it too.
+        opts = EngineOptions(num_devices=4, cache_policy="clock")
+        sess = StreamSession(small_chain(8), WCCProgram(), options=opts)
+        assert isinstance(sess.fs.device, DeviceArray)
+        assert sess.fs.device.num_devices == 4
+        assert sess.fs.cache is not None
+        assert sess.recompute(max_supersteps=50).result.converged
+
+    def test_file_layer_options_conflict_with_explicit_fs(self):
+        with pytest.raises(EngineError, match="explicit fs"):
+            StreamSession(
+                small_chain(8), WCCProgram(), fs=SimFS(DEFAULT_CONFIG),
+                options=EngineOptions(num_devices=4),
+            )
